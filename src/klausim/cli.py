@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import io
 import json
 import os
@@ -265,18 +264,23 @@ def _initial_fields(cfg: RunConfig, basis, model):
         return u0, v0
     if preset == "perturbed-homogeneous":
         return perturbed_homogeneous_fields(basis, model, ic["perturb_amp"])
+    fields = []
     for key in ("u_file", "v_file"):
         if not ic[key]:
             raise ConfigError(f"file preset needs initial.{key}")
-    u0 = np.load(ic["u_file"])
-    v0 = np.load(ic["v_file"])
-    for name, arr in (("u", u0), ("v", v0)):
-        if arr.shape != basis.grid_shape:
+        try:
+            arr = np.load(ic[key])
+        except (OSError, ValueError, EOFError) as exc:
             raise ConfigError(
-                f"initial {name} from file has shape {arr.shape}, "
-                f"grid is {basis.grid_shape}"
+                f"cannot read initial.{key} {ic[key]!r}: {exc}"
+            ) from exc
+        shape = getattr(arr, "shape", None)
+        if shape != basis.grid_shape:
+            raise ConfigError(
+                f"initial.{key} holds shape {shape}, grid is {basis.grid_shape}"
             )
-    return u0.astype(float), v0.astype(float)
+        fields.append(arr.astype(float))
+    return fields[0], fields[1]
 
 
 # ----------------------------------------------------------------- output
@@ -408,17 +412,11 @@ def _cmd_simulate(cfg, sc, out_dir, header, workers):
 
 def _cmd_picard(cfg, sc, out_dir, header, workers):
     path = generate_path(sc.noise, sc.basis, sc.solver.dt, sc.solver.n_steps)
-    solver = dataclasses.replace(sc.solver, snapshot_stride=1)
-    try:
-        result = fixedpoint.picard_solve(
-            sc.u0, sc.v0, sc.cutoff.kappa, path, sc.model, solver, sc.basis,
-            sc.cutoff, tol=cfg.get("run", "picard_tol"),
-            max_iter=cfg.get("run", "picard_max_iter"),
-        )
-    except PicardError as exc:
-        _write_failure(out_dir, "picard", "no convergence",
-                       {"residuals": exc.residuals})
-        return 1
+    result = fixedpoint.picard_solve(
+        sc.u0, sc.v0, sc.cutoff.kappa, path, sc.model, sc.solver, sc.basis,
+        sc.cutoff, tol=cfg.get("run", "picard_tol"),
+        max_iter=cfg.get("run", "picard_max_iter"),
+    )
     write_norm_series(out_dir / "norms.tsv", result.trajectory, header)
     write_snapshots(out_dir / "snapshots.bin", result.trajectory, sc.basis)
     with open(out_dir / "report.txt", "w") as fh:
@@ -584,7 +582,14 @@ def run(subcommand: str, cfg: RunConfig, out_dir, workers: Optional[int] = None,
         sc = build_scenario(cfg)
         status = _DISPATCH[subcommand](cfg, sc, out_dir, header, workers)
     except (NewtonError, PicardError) as exc:
-        _write_failure(out_dir, subcommand, "solver failure",
+        details = {"error": str(exc)}
+        for name in ("residual", "iterations", "step_index", "residuals"):
+            if hasattr(exc, name):
+                details[name] = getattr(exc, name)
+        _write_failure(out_dir, subcommand, "solver failure", details)
+        status = 1
+    except FloatingPointError as exc:
+        _write_failure(out_dir, subcommand, "non-finite statistic",
                        {"error": str(exc)})
         status = 1
     except (ConfigError, ValueError) as exc:

@@ -1,17 +1,22 @@
 """Time stepping for the coupled water/biomass system.
 
-One step of the coupled system applies Lie splitting: reaction terms are
-evaluated explicitly at the step start, the porous-medium diffusion of the
-water field is advanced implicitly (damped Newton), and the biomass heat
-flow is advanced by a spectral exponential integrator.  Noise enters as an
-Euler-Maruyama pointwise product sigma * state * dW at the step start (Ito
-convention); Stratonovich runs add the conversion drift field and reuse the
-identical code path.
+Every run advances through one Lie-splitting step kernel: reaction terms
+are evaluated explicitly at the step start, the porous-medium diffusion of
+the water field is advanced implicitly (damped Newton), and the biomass
+heat flow is advanced by a spectral exponential integrator.  Noise enters
+as an Euler-Maruyama pointwise product sigma * state * dW at the step start
+(Ito convention); Stratonovich runs add the conversion drift field and
+reuse the identical code path.  The public steps differ only in the
+reaction field they pass to the kernel: u v^2 (coupled), phi * eta * xi^2
+with frozen fields (frozen), or none -- the decoupled post-stopping
+extension dynamics, which also drop k, f, g and give v unit extra decay.
 
-The frozen variant replaces the quadratic coupling by externally supplied
-fields, and the decoupled variant drops the coupling entirely (porous medium
-plus noise for u, heat with unit extra decay plus noise for v) -- the
-post-stopping extension dynamics.
+One time driver repeats a step with noise increments from a per-step
+source (a stored path, or Philox draws per step) and applies the per-step
+policy: step index on Newton failures, nonneg_policy=project, the
+finiteness check.  Direct runs, the frozen sweeps of the Picard iteration
+and the exit-time sampler all consume its states; the first two record the
+norm ledger and the budget h through one recorder.
 """
 
 from __future__ import annotations
@@ -184,89 +189,67 @@ def heat_step(
     return out
 
 
-def _newton_dense(basis, w, rhs, coef, gamma, tol_abs, max_iter):
-    lap = basis.laplacian_matrix()
-    shape = w.shape
-    w = w.reshape(-1).copy()
+def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
+    """Damped Newton with Armijo backtracking for w - coef Lap(w^[gamma]) = rhs,
+    started from w = rhs; returns (w, final residual norm).
+
+    Grids up to _DENSE_LIMIT cells solve each Newton system by dense LU;
+    larger grids use matrix-free GMRES with a spectral preconditioner.
+    """
+    n = basis.grid_size
+    shape = rhs.shape
     rhs = rhs.reshape(-1)
+    if n <= _DENSE_LIMIT:
+        lap = basis.laplacian_matrix()
 
-    def residual(z):
-        return z - coef * (lap @ power_gamma(z, gamma).reshape(-1)) - rhs
+        def residual(z):
+            return z - coef * (lap @ power_gamma(z, gamma)) - rhs
 
+        def solve(deriv, res):
+            jac = -coef * lap * deriv[None, :]
+            jac[np.diag_indices_from(jac)] += 1.0
+            return np.linalg.solve(jac, -res)
+    else:
+        def apply_lap(z):
+            return apply_laplacian(basis, z.reshape(shape)).reshape(-1)
+
+        def residual(z):
+            return z - coef * apply_lap(power_gamma(z, gamma)) - rhs
+
+        def solve(deriv, res):
+            precond_scale = 1.0 / (
+                1.0 + coef * float(np.mean(deriv)) * basis.eigenvalues
+            )
+
+            def pmv(z):
+                coeffs = analyze(basis, z.reshape(shape))
+                smooth = synthesize(basis, coeffs * precond_scale)
+                rough = z - synthesize(basis, coeffs).reshape(-1)
+                return smooth.reshape(-1) + rough
+
+            jac = LinearOperator(
+                (n, n), matvec=lambda z: z - coef * apply_lap(deriv * z)
+            )
+            precond = LinearOperator((n, n), matvec=pmv)
+            delta, info = gmres(jac, -res, rtol=1e-10, atol=0.0, M=precond,
+                                maxiter=200)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"inner GMRES failed (info={info})")
+            return delta
+
+    w = rhs.copy()
     res = residual(w)
     res_norm = lp_norm(res, 2.0)
     for iteration in range(max_iter):
         if res_norm <= tol_abs:
-            return w.reshape(shape), res_norm, iteration
+            return w.reshape(shape), res_norm
         deriv = gamma * np.abs(w) ** (gamma - 1.0) + 1e-12
-        jac = -coef * lap * deriv[None, :]
-        jac[np.diag_indices_from(jac)] += 1.0
         try:
-            delta = np.linalg.solve(jac, -res)
+            delta = solve(deriv, res)
         except np.linalg.LinAlgError as exc:
             raise NewtonError(
-                f"singular Newton system: {exc}", res_norm, iteration
+                f"Newton system not solved: {exc}", res_norm, iteration
             ) from exc
-        alpha = 1.0
-        while alpha > 2.0**-30:
-            trial = w + alpha * delta
-            trial_res = residual(trial)
-            trial_norm = lp_norm(trial_res, 2.0)
-            if np.isfinite(trial_norm) and trial_norm <= (1 - 1e-4 * alpha) * res_norm:
-                w, res, res_norm = trial, trial_res, trial_norm
-                break
-            alpha *= 0.5
-        else:
-            raise NewtonError(
-                "Newton line search stalled", res_norm, iteration
-            )
-    raise NewtonError(
-        f"Newton did not reach tolerance {tol_abs:.3e} "
-        f"(final residual {res_norm:.3e})",
-        res_norm,
-        max_iter,
-    )
-
-
-def _newton_krylov(basis, w, rhs, coef, gamma, tol_abs, max_iter):
-    """Matrix-free fallback for grids too large for dense LU."""
-    n = basis.grid_size
-    shape = w.shape
-    w = w.reshape(-1).copy()
-    rhs_flat = rhs.reshape(-1)
-
-    def residual(z):
-        lap_term = apply_laplacian(basis, power_gamma(z, gamma).reshape(shape))
-        return z - coef * lap_term.reshape(-1) - rhs_flat
-
-    res = residual(w)
-    res_norm = lp_norm(res, 2.0)
-    for iteration in range(max_iter):
-        if res_norm <= tol_abs:
-            return w.reshape(shape), res_norm, iteration
-        deriv = gamma * np.abs(w) ** (gamma - 1.0) + 1e-12
-        mean_deriv = float(np.mean(deriv))
-
-        def jmv(z):
-            lap_term = apply_laplacian(basis, (deriv * z).reshape(shape))
-            return z - coef * lap_term.reshape(-1)
-
-        precond_scale = 1.0 / (1.0 + coef * mean_deriv * basis.eigenvalues)
-
-        def pmv(z):
-            coeffs = analyze(basis, z.reshape(shape))
-            smooth = synthesize(basis, coeffs * precond_scale)
-            rough = z - synthesize(basis, coeffs).reshape(-1)
-            return smooth.reshape(-1) + rough
-
-        jac = LinearOperator((n, n), matvec=jmv)
-        precond = LinearOperator((n, n), matvec=pmv)
-        delta, info = gmres(jac, -res, rtol=1e-10, atol=0.0, M=precond,
-                            maxiter=200)
-        if info != 0:
-            raise NewtonError(
-                f"inner GMRES failed (info={info})", res_norm, iteration
-            )
         alpha = 1.0
         while alpha > 2.0**-30:
             trial = w + alpha * delta
@@ -313,9 +296,8 @@ def pm_implicit_step(
     if coef == 0.0:
         return rhs
     tol_abs = solver.newton_tol * (1.0 + lp_norm(u, 2.0))
-    newton = _newton_dense if basis.grid_size <= _DENSE_LIMIT else _newton_krylov
-    w, res_norm, _ = newton(
-        basis, rhs, rhs, coef, model.gamma, tol_abs, solver.newton_max_iter
+    w, res_norm = _newton(
+        basis, rhs, coef, model.gamma, tol_abs, solver.newton_max_iter
     )
     if not np.all(np.isfinite(w)):
         raise NewtonError("non-finite Newton iterate", res_norm, -1)
@@ -341,6 +323,26 @@ def _mult_drifts(basis, model, noise_spec, override):
     return (None, None)
 
 
+def _lie_step(basis, state, model, solver, dw1, dw2, drift1, drift2, react):
+    """The step kernel behind every public step.  `react` is the quadratic
+    reaction field; None selects the decoupled extension dynamics."""
+    u, v = state.u, state.v
+    if react is None:
+        source_u = source_v = np.zeros_like(u)
+    else:
+        source_u = -model.chi * react + model.k - model.f * u
+        source_v = react - model.g * v
+    if drift1 is not None:
+        source_u = source_u + u * drift1
+    if drift2 is not None:
+        source_v = source_v + v * drift2
+    dt = solver.dt
+    extra_decay = 1.0 if react is None else 0.0
+    u_new = pm_implicit_step(basis, u, source_u, dw1, model, solver, dt)
+    v_new = heat_step(basis, v, source_v, dw2, model, dt, extra_decay)
+    return CoupledState(u_new, v_new, state.t + dt)
+
+
 def step_coupled(
     basis: SpectralBasis,
     state: CoupledState,
@@ -352,18 +354,9 @@ def step_coupled(
     drift2: Optional[np.ndarray] = None,
 ) -> CoupledState:
     """One Lie-splitting step of the full coupled system."""
-    u, v = state.u, state.v
-    quad = u * v * v
-    source_u = -model.chi * quad + model.k - model.f * u
-    source_v = quad - model.g * v
-    if drift1 is not None:
-        source_u = source_u + u * drift1
-    if drift2 is not None:
-        source_v = source_v + v * drift2
-    dt = solver.dt
-    u_new = pm_implicit_step(basis, u, source_u, dw1, model, solver, dt)
-    v_new = heat_step(basis, v, source_v, dw2, model, dt)
-    return CoupledState(u_new, v_new, state.t + dt)
+    react = state.u * state.v * state.v
+    return _lie_step(basis, state, model, solver, dw1, dw2, drift1, drift2,
+                     react)
 
 
 def step_frozen(
@@ -382,18 +375,9 @@ def step_frozen(
     """Coupled step with the quadratic reaction frozen at phi * eta * xi^2."""
     if not 0.0 <= phi_value <= 1.0:
         raise ValueError(f"cutoff value {phi_value} outside [0, 1]")
-    u, v = state.u, state.v
     react = phi_value * eta * xi * xi
-    source_u = -model.chi * react + model.k - model.f * u
-    source_v = react - model.g * v
-    if drift1 is not None:
-        source_u = source_u + u * drift1
-    if drift2 is not None:
-        source_v = source_v + v * drift2
-    dt = solver.dt
-    u_new = pm_implicit_step(basis, u, source_u, dw1, model, solver, dt)
-    v_new = heat_step(basis, v, source_v, dw2, model, dt)
-    return CoupledState(u_new, v_new, state.t + dt)
+    return _lie_step(basis, state, model, solver, dw1, dw2, drift1, drift2,
+                     react)
 
 
 def step_decoupled(
@@ -407,14 +391,140 @@ def step_decoupled(
     drift2: Optional[np.ndarray] = None,
 ) -> CoupledState:
     """Post-stopping extension: noisy porous medium for u, damped heat for v."""
-    u, v = state.u, state.v
-    zeros = np.zeros_like(u)
-    source_u = zeros if drift1 is None else u * drift1
-    source_v = zeros if drift2 is None else v * drift2
-    dt = solver.dt
-    u_new = pm_implicit_step(basis, u, source_u, dw1, model, solver, dt)
-    v_new = heat_step(basis, v, source_v, dw2, model, dt, extra_decay=1.0)
-    return CoupledState(u_new, v_new, state.t + dt)
+    return _lie_step(basis, state, model, solver, dw1, dw2, drift1, drift2,
+                     None)
+
+
+def _drive(state, solver, n_steps, step, increments):
+    """Apply `step` n_steps times from `state`, yielding (new state, points
+    clipped to zero) after each; step(state, n, dw1, dw2) takes the noise
+    increments(n) returns.  The per-step policy for every caller: a Newton
+    failure gets the step index, nonneg_policy=project clips negative values
+    to zero, and a non-finite state aborts the run."""
+    project = solver.nonneg_policy == "project"
+    for n in range(n_steps):
+        dw1, dw2 = increments(n)
+        try:
+            new = step(state, n, dw1, dw2)
+        except NewtonError as exc:
+            raise NewtonError(
+                f"step {n} (t={state.t:.6g}): {exc}",
+                exc.residual,
+                exc.iterations,
+                step_index=n,
+            ) from exc
+        clipped = 0
+        if project:
+            below_u = new.u < 0.0
+            below_v = new.v < 0.0
+            clipped = int(below_u.sum() + below_v.sum())
+            new.u[below_u] = 0.0
+            new.v[below_v] = 0.0
+        if not (np.isfinite(new.u).all() and np.isfinite(new.v).all()):
+            raise NewtonError(
+                f"non-finite state after step {n}", float("nan"), -1, step_index=n
+            )
+        state = new
+        yield state, clipped
+
+
+def _path_increments(noise_path: Optional[NoisePath], solver: SolverConfig):
+    """Per-step noise source reading a stored path (no noise without one)."""
+    if noise_path is None:
+        return lambda n: (None, None)
+    if abs(noise_path.dt - solver.dt) > 1e-15 * solver.dt:
+        raise ValueError("noise path dt differs from solver dt")
+    if noise_path.n_steps < solver.n_steps:
+        raise ValueError("noise path shorter than the run")
+    return lambda n: (
+        noise_path.field_increment(1, n), noise_path.field_increment(2, n)
+    )
+
+
+def _h_rates(u, v, cutoff) -> tuple[float, float]:
+    """Integrands |u|_{L^(g+1)}^(g+1) and |v|_{L^m}^(m0) of the budget h."""
+    g1 = cutoff.gamma + 1.0
+    return lp_norm(u, g1) ** g1, lp_norm(v, cutoff.m) ** cutoff.m0
+
+
+def _h_budget(sum_eta, sum_xi, dt: float, nu: float):
+    """h = (dt sum eta-rates)^nu + (dt sum xi-rates)^nu from running sums."""
+    return (dt * sum_eta) ** nu + (dt * sum_xi) ** nu
+
+
+def _h_column(rates, dt: float, nu: float) -> np.ndarray:
+    """h at every grid time by left-endpoint quadrature of `rates`; h(0) = 0.
+    np.cumsum adds left to right, as a running scalar sum does."""
+    sums = np.cumsum(np.array(rates, dtype=float).reshape(-1, 2), axis=0)
+    h = np.zeros(sums.shape[0] + 1)
+    h[1:] = _h_budget(sums[:, 0], sums[:, 1], dt, nu)
+    return h
+
+
+def _norm_row(basis, u, v, model, solver) -> tuple:
+    """One ledger row: Trajectory.NORM_COLUMNS without h."""
+    return (
+        lp_norm(u, 2.0),
+        lp_norm(u, model.gamma + 1.0),
+        sobolev_norm(basis, v, solver.record_rho),
+        u.min(),
+        v.min(),
+    )
+
+
+def _record_run(basis, u0, v0, model, solver, step, increments, cutoff,
+                stride) -> Trajectory:
+    """Drive `step` over solver.n_steps and record the norm ledger, the h
+    column (NaN without `cutoff`) and every stride-th state plus the last."""
+    u = np.array(u0, dtype=float)
+    v = np.array(v0, dtype=float)
+    if u.shape != basis.grid_shape or v.shape != basis.grid_shape:
+        raise ValueError(
+            f"initial fields {u.shape}/{v.shape} do not match grid "
+            f"{basis.grid_shape}"
+        )
+    n_steps = solver.n_steps
+    state = CoupledState(u, v, 0.0)
+    rows = [_norm_row(basis, u, v, model, solver)]
+    rates = []
+    snap_idx = [0]
+    snapshots_u = [u.copy()]
+    snapshots_v = [v.copy()]
+    projected = 0
+    for n, (new, clipped) in enumerate(
+        _drive(state, solver, n_steps, step, increments)
+    ):
+        if cutoff is not None:
+            rates.append(_h_rates(state.u, state.v, cutoff))
+        state = new
+        projected += clipped
+        rows.append(_norm_row(basis, state.u, state.v, model, solver))
+        if (n + 1) % stride == 0 or n + 1 == n_steps:
+            snap_idx.append(n + 1)
+            snapshots_u.append(state.u.copy())
+            snapshots_v.append(state.v.copy())
+
+    columns = dict(zip(Trajectory.NORM_COLUMNS[:-1], np.array(rows).T))
+    columns["h"] = (
+        np.full(n_steps + 1, np.nan) if cutoff is None
+        else _h_column(rates, solver.dt, cutoff.nu)
+    )
+    times = np.arange(n_steps + 1) * solver.dt
+    flags = {
+        "completed": True,
+        "projected_points": projected,
+        "worst_min_u": float(columns["min_u"].min()),
+        "worst_min_v": float(columns["min_v"].min()),
+        "model_flags": model.hypothesis_flags(),
+    }
+    return Trajectory(
+        times=times,
+        norms=columns,
+        snapshot_times=times[np.array(snap_idx, dtype=int)],
+        u_snapshots=np.array(snapshots_u),
+        v_snapshots=np.array(snapshots_v),
+        flags=flags,
+    )
 
 
 def simulate_path(
@@ -436,99 +546,15 @@ def simulate_path(
     """
     if mode not in ("coupled", "decoupled"):
         raise ValueError(f"unknown mode {mode!r}")
-    u = np.array(u0, dtype=float)
-    v = np.array(v0, dtype=float)
-    if u.shape != basis.grid_shape or v.shape != basis.grid_shape:
-        raise ValueError(
-            f"initial fields {u.shape}/{v.shape} do not match grid "
-            f"{basis.grid_shape}"
-        )
-    n_steps = solver.n_steps
-    if noise_path is not None:
-        if abs(noise_path.dt - solver.dt) > 1e-15 * solver.dt:
-            raise ValueError("noise path dt differs from solver dt")
-        if noise_path.n_steps < n_steps:
-            raise ValueError("noise path shorter than the run")
-        noise_spec = noise_path.spec
-    else:
-        noise_spec = None
+    increments = _path_increments(noise_path, solver)
+    noise_spec = None if noise_path is None else noise_path.spec
     drift1, drift2 = _mult_drifts(basis, model, noise_spec, mult_drift_override)
+    step_fn = step_coupled if mode == "coupled" else step_decoupled
 
-    gamma1 = model.gamma + 1.0
-    columns = {name: np.empty(n_steps + 1) for name in Trajectory.NORM_COLUMNS}
-    snap_idx = [0]
-    snapshots_u = [u.copy()]
-    snapshots_v = [v.copy()]
-    acc_eta = 0.0
-    acc_xi = 0.0
-    projected = 0
+    def step(state, n, dw1, dw2):
+        return step_fn(basis, state, model, solver, dw1, dw2, drift1, drift2)
 
-    def record(i, uu, vv):
-        columns["u_l2"][i] = lp_norm(uu, 2.0)
-        columns["u_lgamma1"][i] = lp_norm(uu, gamma1)
-        columns["v_hrho"][i] = sobolev_norm(basis, vv, solver.record_rho)
-        columns["min_u"][i] = uu.min()
-        columns["min_v"][i] = vv.min()
-        if cutoff is None:
-            columns["h"][i] = np.nan
-        else:
-            columns["h"][i] = (
-                acc_eta**cutoff.nu + acc_xi**cutoff.nu if i else 0.0
-            )
-
-    record(0, u, v)
-    state = CoupledState(u, v, 0.0)
-    for n in range(n_steps):
-        if cutoff is not None:
-            acc_eta += solver.dt * lp_norm(state.u, gamma1) ** gamma1
-            acc_xi += solver.dt * lp_norm(state.v, cutoff.m) ** cutoff.m0
-        dw1 = noise_path.field_increment(1, n) if noise_path is not None else None
-        dw2 = noise_path.field_increment(2, n) if noise_path is not None else None
-        try:
-            if mode == "coupled":
-                state = step_coupled(
-                    basis, state, model, solver, dw1, dw2, drift1, drift2
-                )
-            else:
-                state = step_decoupled(
-                    basis, state, model, solver, dw1, dw2, drift1, drift2
-                )
-        except NewtonError as exc:
-            raise NewtonError(
-                f"step {n} (t={state.t:.6g}): {exc}",
-                exc.residual,
-                exc.iterations,
-                step_index=n,
-            ) from exc
-        if solver.nonneg_policy == "project":
-            below_u = state.u < 0.0
-            below_v = state.v < 0.0
-            projected += int(below_u.sum() + below_v.sum())
-            state.u[below_u] = 0.0
-            state.v[below_v] = 0.0
-        if not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.v))):
-            raise NewtonError(
-                f"non-finite state after step {n}", float("nan"), -1, step_index=n
-            )
-        record(n + 1, state.u, state.v)
-        if (n + 1) % solver.snapshot_stride == 0 or n + 1 == n_steps:
-            snap_idx.append(n + 1)
-            snapshots_u.append(state.u.copy())
-            snapshots_v.append(state.v.copy())
-
-    times = np.arange(n_steps + 1) * solver.dt
-    flags = {
-        "completed": True,
-        "projected_points": projected,
-        "worst_min_u": float(columns["min_u"].min()),
-        "worst_min_v": float(columns["min_v"].min()),
-        "model_flags": model.hypothesis_flags(),
-    }
-    return Trajectory(
-        times=times,
-        norms=columns,
-        snapshot_times=times[np.array(snap_idx, dtype=int)],
-        u_snapshots=np.array(snapshots_u),
-        v_snapshots=np.array(snapshots_v),
-        flags=flags,
+    return _record_run(
+        basis, u0, v0, model, solver, step, increments, cutoff,
+        solver.snapshot_stride,
     )

@@ -17,6 +17,7 @@ exhausted the decoupled extension dynamics take over.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -31,9 +32,14 @@ from .dynamics import (
     simulate_path,
     step_coupled,
     step_frozen,
+    _drive,
+    _h_budget,
+    _h_column,
+    _h_rates,
     _mult_drifts,
+    _path_increments,
+    _record_run,
 )
-from .fields import lp_norm, sobolev_norm
 from .noise import NoisePath, NoiseSpec, generate_path, sample_increments
 
 
@@ -81,8 +87,6 @@ class CutoffParams:
             raise ValueError("nu violates 1/p0* + nu/m0 <= 1")
 
     def with_kappa(self, kappa: float) -> "CutoffParams":
-        import dataclasses
-
         return dataclasses.replace(self, kappa=kappa)
 
 
@@ -135,17 +139,9 @@ class FrozenPair:
 
     def h_values(self, params: CutoffParams) -> np.ndarray:
         """h at every grid time by left-endpoint quadrature; h(0) = 0."""
-        g1 = params.gamma + 1.0
-        eta_rates = np.array([lp_norm(f, g1) ** g1 for f in self.eta[:-1]])
-        xi_rates = np.array(
-            [lp_norm(f, params.m) ** params.m0 for f in self.xi[:-1]]
-        )
-        h = np.zeros(self.n_times)
-        if self.n_times > 1:
-            h[1:] = (self.dt * np.cumsum(eta_rates)) ** params.nu + (
-                self.dt * np.cumsum(xi_rates)
-            ) ** params.nu
-        return h
+        rates = [_h_rates(e, x, params)
+                 for e, x in zip(self.eta[:-1], self.xi[:-1])]
+        return _h_column(rates, self.dt, params.nu)
 
 
 def h_functional(pair: FrozenPair, t: float, params: CutoffParams) -> float:
@@ -155,10 +151,6 @@ def h_functional(pair: FrozenPair, t: float, params: CutoffParams) -> float:
     if abs(idx - n) > 1e-9 or not 0 <= n < pair.n_times:
         raise ValueError(f"t={t} is not on the trajectory time grid")
     return float(pair.h_values(params)[n])
-
-
-def trajectory_h(traj: Trajectory, params: CutoffParams) -> np.ndarray:
-    return FrozenPair.from_trajectory(traj).h_values(params)
 
 
 def apply_V(
@@ -184,65 +176,27 @@ def apply_V(
         raise ValueError(
             f"frozen pair has {pair.n_times} time slices for {n_steps} steps"
         )
+    increments = _path_increments(noise_path, solver)
     drift1, drift2 = _mult_drifts(basis, model, noise_path.spec, None)
     h_in = pair.h_values(params)
-    state = CoupledState(np.array(u0, dtype=float), np.array(v0, dtype=float), 0.0)
-    fields_u = [state.u.copy()]
-    fields_v = [state.v.copy()]
-    for n in range(n_steps):
-        phi = cutoff_phi(h_in[n], kappa)
-        dw1 = noise_path.field_increment(1, n)
-        dw2 = noise_path.field_increment(2, n)
-        state = step_frozen(
-            basis, state, pair.eta[n], pair.xi[n], phi, model, solver,
-            dw1, dw2, drift1, drift2,
+
+    def step(state, n, dw1, dw2):
+        return step_frozen(
+            basis, state, pair.eta[n], pair.xi[n], cutoff_phi(h_in[n], kappa),
+            model, solver, dw1, dw2, drift1, drift2,
         )
-        fields_u.append(state.u.copy())
-        fields_v.append(state.v.copy())
-    return _trajectory_from_fields(
-        basis, solver, params, np.array(fields_u), np.array(fields_v)
-    )
 
-
-def _trajectory_from_fields(basis, solver, params, fields_u, fields_v):
-    n_times = fields_u.shape[0]
-    times = np.arange(n_times) * solver.dt
-    g1 = params.gamma + 1.0
-    columns = {
-        "u_l2": np.array([lp_norm(f, 2.0) for f in fields_u]),
-        "u_lgamma1": np.array([lp_norm(f, g1) for f in fields_u]),
-        "v_hrho": np.array(
-            [sobolev_norm(basis, f, solver.record_rho) for f in fields_v]
-        ),
-        "min_u": fields_u.reshape(n_times, -1).min(axis=1),
-        "min_v": fields_v.reshape(n_times, -1).min(axis=1),
-    }
-    pair = FrozenPair(eta=fields_u, xi=fields_v, dt=solver.dt)
-    columns["h"] = pair.h_values(params)
-    flags = {
-        "completed": True,
-        "worst_min_u": float(columns["min_u"].min()),
-        "worst_min_v": float(columns["min_v"].min()),
-    }
-    return Trajectory(
-        times=times,
-        norms=columns,
-        snapshot_times=times,
-        u_snapshots=fields_u,
-        v_snapshots=fields_v,
-        flags=flags,
-    )
+    return _record_run(basis, u0, v0, model, solver, step, increments, params, 1)
 
 
 def pair_distance(a: FrozenPair, b: FrozenPair, params: CutoffParams) -> float:
     """Discrete Bochner-norm distance used as the Picard residual:
     |du|_{L^(g+1)(0,T;L^(g+1))} + |dv|_{L^(m0)(0,T;L^m)}."""
-    g1 = params.gamma + 1.0
-    du = a.eta - b.eta
-    dv = a.xi - b.xi
-    eta_part = a.dt * sum(lp_norm(f, g1) ** g1 for f in du[:-1])
-    xi_part = a.dt * sum(lp_norm(f, params.m) ** params.m0 for f in dv[:-1])
-    return eta_part ** (1.0 / g1) + xi_part ** (1.0 / params.m0)
+    rates = [_h_rates(e, x, params)
+             for e, x in zip(a.eta[:-1] - b.eta[:-1], a.xi[:-1] - b.xi[:-1])]
+    eta_part = a.dt * sum(r[0] for r in rates)
+    xi_part = a.dt * sum(r[1] for r in rates)
+    return eta_part ** (1.0 / (params.gamma + 1.0)) + xi_part ** (1.0 / params.m0)
 
 
 @dataclass
@@ -345,26 +299,27 @@ class GlueResult:
     used_decoupled_tail: bool
 
 
-def _concat_trajectories(parts: list[Trajectory]) -> Trajectory:
-    """Join segments; each junction state appears once (exact handoff)."""
-    times = [parts[0].times]
-    norms = {k: [parts[0].norms[k]] for k in parts[0].norms}
-    us = [parts[0].u_snapshots]
-    vs = [parts[0].v_snapshots]
-    offset = parts[0].times[-1]
-    for seg in parts[1:]:
-        times.append(seg.times[1:] + offset)
+def _concat_trajectories(parts: list[tuple[Trajectory, int]]) -> Trajectory:
+    """Join the first `stop` records of each (segment, stop); each junction
+    state appears once (exact handoff)."""
+    times, us, vs = [], [], []
+    norms = {k: [] for k in parts[0][0].norms}
+    offset = 0.0
+    for i, (seg, stop) in enumerate(parts):
+        start = 1 if i else 0
+        times.append(seg.times[start:stop] + offset)
         for k in norms:
-            norms[k].append(seg.norms[k][1:])
-        us.append(seg.u_snapshots[1:])
-        vs.append(seg.v_snapshots[1:])
-        offset += seg.times[-1]
+            norms[k].append(seg.norms[k][start:stop])
+        us.append(seg.u_snapshots[start:stop])
+        vs.append(seg.v_snapshots[start:stop])
+        offset += seg.times[stop - 1]
     all_times = np.concatenate(times)
     merged = {k: np.concatenate(v) for k, v in norms.items()}
     u_all = np.concatenate(us)
     v_all = np.concatenate(vs)
     flags = {
-        "completed": all(p.flags.get("completed", True) for p in parts),
+        "completed": all(p.flags.get("completed", True) for p, _ in parts),
+        "projected_points": sum(p.flags["projected_points"] for p, _ in parts),
         "worst_min_u": float(merged["min_u"].min()),
         "worst_min_v": float(merged["min_v"].min()),
         "segments": len(parts),
@@ -376,17 +331,6 @@ def _concat_trajectories(parts: list[Trajectory]) -> Trajectory:
         u_snapshots=u_all,
         v_snapshots=v_all,
         flags=flags,
-    )
-
-
-def _truncate_trajectory(traj: Trajectory, idx: int) -> Trajectory:
-    return Trajectory(
-        times=traj.times[: idx + 1],
-        norms={k: v[: idx + 1] for k, v in traj.norms.items()},
-        snapshot_times=traj.times[: idx + 1],
-        u_snapshots=traj.u_snapshots[: idx + 1],
-        v_snapshots=traj.v_snapshots[: idx + 1],
-        flags=dict(traj.flags),
     )
 
 
@@ -414,19 +358,17 @@ def glue_simulate(
     ladder = list(kappa_ladder)
     if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("kappa ladder must be nonempty and strictly increasing")
-    import dataclasses
-
     n_total = solver.n_steps
     if n_total == 0:
         empty = simulate_path(basis, u0, v0, model, solver, None, cutoff=params)
         return GlueResult(trajectory=empty, rungs=[], used_decoupled_tail=False)
 
-    parts: list[Trajectory] = []
+    parts: list[tuple[Trajectory, int]] = []  # (segment, records kept)
     rungs: list[RungReport] = []
     u_cur, v_cur = np.array(u0, dtype=float), np.array(v0, dtype=float)
     steps_done = 0
     used_tail = False
-    for rung_index, kappa in enumerate(ladder):
+    for rung_index in range(len(ladder) + 1):
         n_rem = n_total - steps_done
         seg_solver = dataclasses.replace(
             solver, t_final=n_rem * solver.dt, snapshot_stride=1
@@ -435,6 +377,16 @@ def glue_simulate(
             noise_spec, basis, solver.dt, n_rem,
             path_index=path_index, rung=rung_index,
         )
+        if rung_index == len(ladder):
+            # ladder exhausted: extension dynamics on one more fresh substream
+            used_tail = True
+            tail = simulate_path(
+                basis, u_cur, v_cur, model, seg_solver, path,
+                mode="decoupled", cutoff=params,
+            )
+            parts.append((tail, n_rem + 1))
+            break
+        kappa = ladder[rung_index]
         result = picard_solve(
             u_cur, v_cur, kappa, path, model, seg_solver, basis,
             params.with_kappa(kappa), tol=tol, max_iter=max_iter,
@@ -442,42 +394,20 @@ def glue_simulate(
         traj = result.trajectory
         exit_local = first_exit_time(traj, kappa, params.with_kappa(kappa))
         if exit_local is None:
-            rungs.append(RungReport(
-                rung_index + 1, kappa, None, result.iterations,
-                result.residuals[-1],
-            ))
-            parts.append(traj)
-            steps_done = n_total
-            break
-        exit_idx = int(round(exit_local / solver.dt))
-        exit_idx = max(exit_idx, 1)  # a rung always consumes at least a step
+            exit_idx = n_rem
+        else:  # a rung always consumes at least a step
+            exit_idx = max(int(round(exit_local / solver.dt)), 1)
         rungs.append(RungReport(
             rung_index + 1, kappa,
-            (steps_done + exit_idx) * solver.dt,
+            None if exit_local is None else (steps_done + exit_idx) * solver.dt,
             result.iterations, result.residuals[-1],
         ))
-        parts.append(_truncate_trajectory(traj, exit_idx))
-        u_cur = traj.u_snapshots[exit_idx].copy()
-        v_cur = traj.v_snapshots[exit_idx].copy()
+        parts.append((traj, exit_idx + 1))
         steps_done += exit_idx
         if steps_done >= n_total:
             break
-    if steps_done < n_total:
-        # ladder exhausted: extension dynamics with one more fresh substream
-        used_tail = True
-        n_rem = n_total - steps_done
-        tail_solver = dataclasses.replace(
-            solver, t_final=n_rem * solver.dt, snapshot_stride=1
-        )
-        path = generate_path(
-            noise_spec, basis, solver.dt, n_rem,
-            path_index=path_index, rung=len(ladder),
-        )
-        tail = simulate_path(
-            basis, u_cur, v_cur, model, tail_solver, path,
-            mode="decoupled", cutoff=params,
-        )
-        parts.append(tail)
+        u_cur = traj.u_snapshots[exit_idx].copy()
+        v_cur = traj.v_snapshots[exit_idx].copy()
     glued = _concat_trajectories(parts)
     return GlueResult(trajectory=glued, rungs=rungs, used_decoupled_tail=used_tail)
 
@@ -491,18 +421,22 @@ def _run_until_exit(basis, state, threshold, n_max, model, solver, spec,
     without a Picard solve per rung.  Returns (exit step or None, end state).
     """
     drift1, drift2 = _mult_drifts(basis, model, spec, None)
-    g1 = params.gamma + 1.0
-    acc_eta = 0.0
-    acc_xi = 0.0
-    for n in range(n_max):
-        acc_eta += solver.dt * lp_norm(state.u, g1) ** g1
-        acc_xi += solver.dt * lp_norm(state.v, params.m) ** params.m0
-        dw1, dw2 = sample_increments(
+
+    def step(state, n, dw1, dw2):
+        return step_coupled(basis, state, model, solver, dw1, dw2, drift1, drift2)
+
+    def increments(n):
+        return sample_increments(
             spec, basis, solver.dt, n, path_index=path_index, rung=rung
         )
-        state = step_coupled(basis, state, model, solver, dw1, dw2, drift1, drift2)
-        h = acc_eta**params.nu + acc_xi**params.nu
-        if h >= threshold:
+
+    sum_eta = sum_xi = 0.0
+    for n, (new, _) in enumerate(_drive(state, solver, n_max, step, increments)):
+        rate_eta, rate_xi = _h_rates(state.u, state.v, params)
+        sum_eta += rate_eta
+        sum_xi += rate_xi
+        state = new
+        if _h_budget(sum_eta, sum_xi, solver.dt, params.nu) >= threshold:
             return n + 1, state
     return None, state
 
@@ -547,7 +481,6 @@ def exit_prob_estimate(scenario, kappa: float, n_paths: int) -> ExitProbeResult:
     for i in range(n_paths):
         steps_done = 0
         state = CoupledState(scenario.u0.copy(), scenario.v0.copy(), 0.0)
-        exited_all = True
         for rung, level in enumerate(levels):
             exit_step, state = _run_until_exit(
                 scenario.basis, state, level, n_total - steps_done,
@@ -555,13 +488,11 @@ def exit_prob_estimate(scenario, kappa: float, n_paths: int) -> ExitProbeResult:
                 scenario.cutoff, path_index=i, rung=rung,
             )
             if exit_step is None:
-                exited_all = False
                 break
             steps_done += exit_step
             if steps_done >= n_total:
-                exited_all = False
                 break
-        if exited_all:
+        else:  # every rung exited before the horizon
             exits += 1
     p_hat = exits / n_paths
     stderr = float(np.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n_paths))

@@ -202,10 +202,6 @@ class NoisePath:
         lam = self.spec.spectrum(self.basis, channel)
         return synthesize(self.basis, lam * self.increments[channel - 1, step_index])
 
-    def coefficient_increment(self, channel: int, step_index: int) -> np.ndarray:
-        lam = self.spec.spectrum(self.basis, channel)
-        return lam * self.increments[channel - 1, step_index]
-
     def coarsen(self, factor: int) -> "NoisePath":
         """Sum consecutive increments so a coarser run sees the same path."""
         if factor < 1 or self.n_steps % factor:

@@ -1,5 +1,7 @@
 """Config round-trips, seeding precedence, and the run orchestrator."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -338,3 +340,60 @@ def test_run_noise_selftest(tmp_path):
     report = (tmp_path / "report.txt").read_text()
     assert "mode_variance_ok: True" in report
     assert "isometry_ok: True" in report
+
+
+def _failure(out):
+    return json.loads((out / "failure.json").read_text())
+
+
+def test_unreadable_initial_file_fails_by_key(tmp_path):
+    np.save(tmp_path / "v0.npy", np.zeros(32))
+    (tmp_path / "garbage.npy").write_text("not an array")
+    for key, other, path in (
+        ("u_file", "v_file", tmp_path / "missing.npy"),
+        ("v_file", "u_file", tmp_path / "garbage.npy"),
+    ):
+        cfg = make_cfg(**{
+            "initial.preset": "file",
+            f"initial.{key}": str(path),
+            f"initial.{other}": str(tmp_path / "v0.npy"),
+        })
+        out = tmp_path / key
+        assert run("simulate", cfg, out) == 2
+        failure = _failure(out)
+        assert failure["reason"] == "invalid configuration"
+        assert f"initial.{key}" in failure["details"]["error"]
+
+
+def test_ensemble_non_finite_statistic_writes_failure(tmp_path):
+    # r_u = 0 keeps the huge constant water field, whose energy overflows
+    cfg = make_cfg(**{
+        "run.paths": "100", "grid.n": "16", "solver.t_final": "0.004",
+        "model.r_u": "0.0", "initial.preset": "constant",
+        "initial.u_value": "1e200", "initial.v_value": "0.0",
+    })
+    with np.errstate(all="ignore"):
+        assert run("ensemble", cfg, tmp_path) == 1
+    failure = _failure(tmp_path)
+    assert failure["reason"] == "non-finite statistic"
+    assert "path 0" in failure["details"]["error"]
+
+
+def test_solver_failure_records_newton_numbers(tmp_path):
+    cfg = make_cfg(**{"solver.newton_max_iter": "1",
+                      "solver.newton_tol": "1e-300"})
+    assert run("simulate", cfg, tmp_path) == 1
+    details = _failure(tmp_path)["details"]
+    assert details["step_index"] == 0
+    assert details["iterations"] == 1
+    assert 0.0 < details["residual"] < 1.0
+
+
+def test_solver_failure_records_picard_residuals(tmp_path):
+    cfg = make_cfg(**{"run.picard_max_iter": "2",
+                      "run.picard_tol": "1e-300"})
+    assert run("picard", cfg, tmp_path) == 1
+    failure = _failure(tmp_path)
+    assert failure["reason"] == "solver failure"
+    residuals = failure["details"]["residuals"]
+    assert len(residuals) == 2 and all(r > 0.0 for r in residuals)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from klausim.basis import build_basis
-from klausim.dynamics import ModelConfig, SolverConfig, simulate_path
+from klausim.dynamics import (
+    ModelConfig,
+    NewtonError,
+    SolverConfig,
+    simulate_path,
+)
 from klausim.fields import lp_norm
 from klausim.fixedpoint import (
     CutoffParams,
@@ -21,7 +26,7 @@ from klausim.fixedpoint import (
     pair_distance,
     picard_solve,
 )
-from klausim.noise import generate_path
+from klausim.noise import NoiseSpec, generate_path
 from klausim.scenarios import (
     default_cutoff,
     exit_scenario,
@@ -130,6 +135,31 @@ def test_h_nondecreasing_and_off_grid_rejected():
         h_functional(pair, 0.033, params)
 
 
+def test_recorded_h_is_h_values_of_the_recorded_fields():
+    """Every recorded h column is FrozenPair.h_values of the run's own
+    fields, bit for bit: one h formula for direct runs and each glue
+    segment (rungs restart h, the decoupled tail included)."""
+    sc = exit_scenario(seed=2, n=16, t_final=0.05)
+    path = generate_path(sc.noise, sc.basis, sc.solver.dt, sc.solver.n_steps)
+    traj = simulate_path(sc.basis, sc.u0, sc.v0, sc.model, sc.solver, path,
+                         cutoff=sc.cutoff)
+    assert np.array_equal(
+        traj.norms["h"], FrozenPair.from_trajectory(traj).h_values(sc.cutoff)
+    )
+
+    glued = glue_simulate(sc.u0, sc.v0, [0.2, 0.4], sc.model, sc.solver,
+                          sc.basis, sc.noise, sc.cutoff).trajectory
+    ends = [int(round(t / sc.solver.dt)) for t in
+            glued.times[np.flatnonzero(np.diff(glued.norms["h"]) < 0)]]
+    assert len(ends) == 2  # both rungs exit, then the tail runs
+    h = glued.norms["h"]
+    assert h[0] == 0.0
+    for a, b in zip([0] + ends, ends + [sc.solver.n_steps]):
+        segment = FrozenPair(eta=glued.u_snapshots[a:b + 1],
+                             xi=glued.v_snapshots[a:b + 1], dt=sc.solver.dt)
+        assert np.array_equal(h[a + 1:b + 1], segment.h_values(sc.cutoff)[1:])
+
+
 # ---------------------------------------------------------------- apply_V
 
 
@@ -191,6 +221,48 @@ def test_apply_v_tiny_kappa_switches_reaction_off(small):
     tail_gap = np.max(np.abs(traj.u_snapshots[-1] - free.u_snapshots[-1]))
     first_step_kick = sc.solver.dt * sc.model.chi  # one step of eta xi^2
     assert tail_gap <= 2.0 * first_step_kick
+
+
+def _periodic64_setup(**solver_kw):
+    basis = build_basis(1, "periodic", 64, 63)
+    solver = SolverConfig(snapshot_stride=1, **solver_kw)
+    path = generate_path(NoiseSpec(), basis, solver.dt, solver.n_steps)
+    zero = FrozenPair.zero(basis, solver.dt, solver.n_steps)
+    return basis, solver, path, zero
+
+
+def test_picard_sweep_projects_under_project_policy():
+    model = ModelConfig(r_u=0.0, r_v=0.0, chi=0.0, f=5.0, sigma1=0.0,
+                        sigma2=0.0)
+    basis, solver, path, _ = _periodic64_setup(
+        dt=0.1, t_final=0.2, nonneg_policy="project"
+    )
+    u0 = np.sin(2 * np.pi * basis.axis_coordinates())  # half below zero
+    result = picard_solve(u0, np.zeros(64), 1.0, path, model, solver, basis,
+                          default_cutoff())
+    traj = result.trajectory
+    assert traj.flags["projected_points"] > 0
+    assert traj.norms["min_u"][1:].min() >= 0.0
+
+
+def test_apply_v_rejects_short_noise_path():
+    basis, solver, _, zero = _periodic64_setup(dt=0.1, t_final=0.2)
+    short = generate_path(NoiseSpec(), basis, solver.dt, solver.n_steps - 1)
+    with pytest.raises(ValueError, match="shorter"):
+        apply_V(zero, np.ones(64), np.ones(64), 1.0, short, ModelConfig(),
+                solver, basis, default_cutoff())
+
+
+def test_apply_v_newton_failure_carries_step_index():
+    model = ModelConfig(r_u=100.0, gamma=5.0, sigma1=0.0, sigma2=0.0)
+    basis, solver, path, zero = _periodic64_setup(
+        dt=0.5, t_final=1.0, newton_max_iter=1, newton_tol=1e-15
+    )
+    u0 = 2.0 + 1.5 * basis.mode_field(1)
+    with pytest.raises(NewtonError) as err:
+        apply_V(zero, u0, np.zeros(64), 1.0, path, model, solver, basis,
+                default_cutoff())
+    assert err.value.step_index == 0
 
 
 # ------------------------------------------------------------------ picard
