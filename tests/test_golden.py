@@ -14,18 +14,21 @@ became dt * (sum of rates).
 import dataclasses
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from klausim.cli import apply_overrides, default_config, run
+from klausim.cli import apply_overrides, default_config, read_snapshots, run
 from klausim.fixedpoint import exit_prob_estimate
 from klausim.scenarios import exit_scenario
 
 GOLDEN = json.loads(
     (Path(__file__).with_name("golden_outputs.json")).read_text()
 )
+# the arrays `simulate_krylov` wrote, for a check by value rather than bytes
+KRYLOV_NPZ = Path(__file__).with_name("golden_krylov.npz")
 
 BASE = ["grid.n=32", "solver.dt=0.002", "solver.t_final=0.02",
         "solver.snapshot_stride=3", "run.seed=17"]
@@ -98,6 +101,14 @@ def run_outputs(name: str, out: Path) -> dict:
     return rec
 
 
+def krylov_arrays(out: Path) -> dict:
+    """Snapshot times and fields and the norm table of `simulate_krylov`."""
+    assert run_outputs("simulate_krylov", out)["status"] == 0
+    _, times, u, v = read_snapshots(out / "snapshots.bin")
+    norms = np.loadtxt(out / "norms.tsv", comments="#", ndmin=2)
+    return {"times": times, "u": u, "v": v, "norms": norms}
+
+
 def exit_outputs(seed, n, t_final, v_scale, kappa) -> dict:
     sc = exit_scenario(seed=seed, n=n, t_final=t_final)
     res = exit_prob_estimate(dataclasses.replace(sc, v0=v_scale * sc.v0),
@@ -132,3 +143,24 @@ def test_golden_run(name, tmp_path):
 def test_golden_exit_estimate(case):
     key = ":".join(map(str, case))
     assert exit_outputs(*case) == GOLDEN["exits"][key]
+
+
+def test_golden_krylov_values(tmp_path):
+    """The d=2 GMRES run matches its recorded arrays to 1e-12 relative to the
+    largest entry of each field and each norm column."""
+    got = krylov_arrays(tmp_path)
+    want = np.load(KRYLOV_NPZ)
+    assert np.array_equal(got["times"], want["times"])
+    for key in ("u", "v"):
+        assert got[key].shape == want[key].shape
+        scale = np.max(np.abs(want[key]))
+        assert np.max(np.abs(got[key] - want[key])) <= 1e-12 * scale
+    assert got["norms"].shape == want["norms"].shape
+    scale = np.max(np.abs(want["norms"]), axis=0)
+    assert np.all(np.abs(got["norms"] - want["norms"]) <= 1e-12 * scale)
+
+
+if __name__ == "__main__":
+    # python tests/test_golden.py record-krylov OUT_DIR: rewrite the npz
+    if sys.argv[1:2] == ["record-krylov"]:
+        np.savez(KRYLOV_NPZ, **krylov_arrays(Path(sys.argv[2])))
