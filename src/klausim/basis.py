@@ -80,7 +80,15 @@ def _axis_indices(n: int, boundary: str) -> list[int]:
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Retained eigenpairs of -Laplace on [0,1]^d plus transform tables.
+    """Retained eigenpairs of -Laplace on [0,1]^d plus the per-axis table.
+
+    Every retained mode is a tensor product of 1-d modes.  `axis_table`
+    holds the r 1-d modes the band uses, in `_axis_indices` order, and
+    `band_positions[k]` is the flat position of mode k in the (r,)*d tensor
+    of per-axis products.  The transforms contract one axis at a time with
+    `axis_table`, so a call costs d r N^d and the basis stores r N numbers.
+    In d = 1 the band is the first r axis modes in order (r = n_modes), so
+    `axis_table` is the mode table itself and no gather is needed.
 
     Immutable after construction; safe to share across workers.
     """
@@ -91,7 +99,8 @@ class SpectralBasis:
     n_modes: int
     eigenvalues: np.ndarray          # (n_modes,), nondecreasing
     mode_indices: tuple[tuple[int, ...], ...]
-    table: np.ndarray                # (n_modes, N^d) grid samples
+    axis_table: np.ndarray           # (r, N) grid samples of 1-d modes
+    band_positions: np.ndarray       # (n_modes,) flat indices into (r,)*d
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -110,20 +119,30 @@ class SpectralBasis:
         return _axis_grid(self.grid_points, self.boundary)
 
     def mode_field(self, k: int) -> np.ndarray:
-        """Grid samples of psi_k, shaped (N,)*d."""
-        return self.table[k].reshape(self.grid_shape).copy()
+        """Grid samples of psi_k, shaped (N,)*d: an outer product of axis rows."""
+        rows = np.unravel_index(
+            self.band_positions[k], (self.axis_table.shape[0],) * self.dimension
+        )
+        mode = self.axis_table[rows[0]].copy()
+        for row in rows[1:]:
+            mode = np.multiply.outer(mode, self.axis_table[row])
+        return mode
 
     def laplacian_matrix(self) -> np.ndarray:
         """Dense grid-space matrix of the band-limited Laplacian.
 
         L[i, j] = -sum_k nu_k psi_k(x_i) psi_k(x_j) h^d.  Cached; used by the
         implicit porous-medium solver when the grid is small enough for
-        direct linear algebra.
+        direct linear algebra.  Holds the n_modes x N^d mode samples while
+        it is built.
         """
         lap = self._cache.get("laplacian_matrix")
         if lap is None:
-            weighted = (-self.eigenvalues[:, None]) * self.table
-            lap = self.table.T @ weighted * self.cell_volume
+            modes = np.array(
+                [self.mode_field(k).reshape(-1) for k in range(self.n_modes)]
+            )
+            weighted = (-self.eigenvalues[:, None]) * modes
+            lap = modes.T @ weighted * self.cell_volume
             self._cache["laplacian_matrix"] = lap
         return lap
 
@@ -145,27 +164,26 @@ def build_basis(d: int, boundary: str, n: int, n_modes: int) -> SpectralBasis:
         raise ValueError(f"N={n} is not a power of two")
 
     axis = _axis_indices(n, boundary)
-    multi = list(itertools.product(axis, repeat=d))
-    multi.sort(key=lambda idx: (sum(_axis_eigenvalue(i, boundary) for i in idx), idx))
-    if n_modes < 1 or n_modes > len(multi):
+    spectrum = sorted(
+        (sum(_axis_eigenvalue(i, boundary) for i in idx), idx)
+        for idx in itertools.product(axis, repeat=d)
+    )
+    if n_modes < 1 or n_modes > len(spectrum):
         raise ValueError(
-            f"requested {n_modes} modes; resolvable range is 1..{len(multi)} "
+            f"requested {n_modes} modes; resolvable range is 1..{len(spectrum)} "
             f"for N={n}, d={d}, {boundary}"
         )
-    multi = multi[:n_modes]
+    eigenvalues = np.array([lam for lam, _ in spectrum[:n_modes]])
+    multi = [idx for _, idx in spectrum[:n_modes]]
 
+    used = {i for idx in multi for i in idx}
+    row_of = {i: row for row, i in enumerate(i for i in axis if i in used)}
     x = _axis_grid(n, boundary)
-    axis_tables = {
-        i: _axis_mode(i, x, boundary) for i in {i for idx in multi for i in idx}
-    }
-    table = np.empty((n_modes, n**d))
-    eigenvalues = np.empty(n_modes)
-    for row, idx in enumerate(multi):
-        mode = axis_tables[idx[0]]
-        for i in idx[1:]:
-            mode = np.multiply.outer(mode, axis_tables[i])
-        table[row] = mode.ravel()
-        eigenvalues[row] = sum(_axis_eigenvalue(i, boundary) for i in idx)
+    axis_table = np.array([_axis_mode(i, x, boundary) for i in row_of])
+    rows = np.array([[row_of[i] for i in idx] for idx in multi]).T
+    band_positions = np.ravel_multi_index(tuple(rows), (len(row_of),) * d)
+    axis_table.flags.writeable = False
+    band_positions.flags.writeable = False
 
     return SpectralBasis(
         dimension=d,
@@ -174,18 +192,51 @@ def build_basis(d: int, boundary: str, n: int, n_modes: int) -> SpectralBasis:
         n_modes=n_modes,
         eigenvalues=eigenvalues,
         mode_indices=tuple(multi),
-        table=table,
+        axis_table=axis_table,
+        band_positions=band_positions,
     )
+
+
+def _contract(values: np.ndarray, mat: np.ndarray, d: int) -> np.ndarray:
+    """Apply `mat` (m, n) along every axis of an (n,)*d tensor, flattened.
+
+    Last axis first, then the middle ones as a stack of products, then the
+    first: each step is one `@` on a reshaped array, with no transposes.
+    """
+    n = mat.shape[1]
+    out = values.reshape(-1, n) @ mat.T
+    for axis in range(d - 2, 0, -1):
+        out = mat @ out.reshape(n**axis, n, -1)
+    return (mat @ out.reshape(n, -1)).reshape(-1)
+
+
+def expand(basis: SpectralBasis, coefficients: np.ndarray,
+           axis_rows: np.ndarray) -> np.ndarray:
+    """Grid samples of sum_k c_k prod_a axis_rows[row_a(k)](x_a), (N,)*d.
+
+    `coefficients` is a prefix of the band; `axis_rows` is `axis_table` or
+    an elementwise function of it (its square gives sum_k c_k psi_k^2).
+    """
+    if basis.dimension == 1:
+        return coefficients @ axis_rows[: coefficients.size]
+    dense = np.zeros(axis_rows.shape[0] ** basis.dimension)
+    dense[basis.band_positions[: coefficients.size]] = coefficients
+    return _contract(dense, axis_rows.T, basis.dimension).reshape(basis.grid_shape)
 
 
 def analyze(basis: SpectralBasis, values: np.ndarray) -> np.ndarray:
     """Coefficients <f, psi_k> for k < n_modes (rectangle-rule inner product)."""
     flat = np.asarray(values).reshape(-1)
-    if flat.size != basis.grid_size:
+    cells = basis.grid_size
+    if flat.size != cells:
         raise ValueError(
-            f"field has {flat.size} entries, basis grid has {basis.grid_size}"
+            f"field has {flat.size} entries, basis grid has {cells}"
         )
-    return basis.table @ flat * basis.cell_volume
+    cell_volume = 1.0 / cells
+    if basis.dimension == 1:
+        return basis.axis_table @ flat * cell_volume
+    full = _contract(flat, basis.axis_table, basis.dimension)
+    return full[basis.band_positions] * cell_volume
 
 
 def synthesize(basis: SpectralBasis, coefficients: np.ndarray) -> np.ndarray:
@@ -196,8 +247,7 @@ def synthesize(basis: SpectralBasis, coefficients: np.ndarray) -> np.ndarray:
             f"coefficient vector of length {coeffs.size} exceeds the "
             f"{basis.n_modes} retained modes"
         )
-    out = coeffs @ basis.table[: coeffs.size]
-    return out.reshape(basis.grid_shape)
+    return expand(basis, coeffs, basis.axis_table)
 
 
 def apply_laplacian(basis: SpectralBasis, values: np.ndarray) -> np.ndarray:

@@ -213,10 +213,14 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> None:
 
 def build_scenario(cfg: RunConfig) -> Scenario:
     g = cfg.values["grid"]
-    n_modes = g["modes"]
-    if n_modes == 0:
-        per_axis = g["n"] - 1 if g["boundary"] == "periodic" else g["n"]
-        n_modes = per_axis ** g["d"]
+    per_axis = g["n"] - 1 if g["boundary"] == "periodic" else g["n"]
+    resolvable = per_axis ** g["d"]
+    n_modes = g["modes"] or resolvable
+    if not 0 < n_modes <= resolvable:
+        raise ConfigError(
+            f"grid.modes={g['modes']} is outside 0..{resolvable}, the modes "
+            f"resolvable for grid.n={g['n']}, grid.d={g['d']}, {g['boundary']}"
+        )
     basis = build_basis(g["d"], g["boundary"], g["n"], n_modes)
     m = cfg.values["model"]
     model = ModelConfig(

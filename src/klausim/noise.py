@@ -18,12 +18,13 @@ values.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .basis import SpectralBasis, synthesize
+from .basis import SpectralBasis, expand, synthesize
 from .fields import lp_norm
 
 _STEP_STRIDE = 1 << 128  # Philox counter blocks reserved per time step
@@ -137,9 +138,13 @@ def validate_noise(
     )
 
 
+@functools.lru_cache(maxsize=2)  # both channels of the path being stepped
 def _stream_key(seed: int, channel: int, path: int, rung: int) -> np.ndarray:
+    """Read-only Philox key of the (seed, channel, path, rung) substream."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(channel, path, rung))
-    return ss.generate_state(2, np.uint64)
+    key = ss.generate_state(2, np.uint64)
+    key.flags.writeable = False
+    return key
 
 
 def mode_normals(
@@ -258,8 +263,7 @@ def stratonovich_correction(
     drift state * c; for full sin/cos pairs the field is spatially constant.
     """
     lam = spec.spectrum(basis, channel)
-    sq = basis.table**2
-    return (0.5 * sigma**2 * (lam**2 @ sq)).reshape(basis.grid_shape)
+    return 0.5 * sigma**2 * expand(basis, lam**2, basis.axis_table**2)
 
 
 def unit_trace_spec(spec: NoiseSpec, basis: SpectralBasis) -> NoiseSpec:

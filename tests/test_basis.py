@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from klausim.basis import (
+    _axis_mode,
     analyze,
     apply_laplacian,
     build_basis,
@@ -13,6 +16,19 @@ from klausim.basis import (
 )
 
 PI2 = np.pi**2
+
+
+def _dense_table(basis):
+    """Oracle: the (n_modes, N^d) table of every retained mode on the grid,
+    each row the outer product of its 1-d modes along `mode_indices`."""
+    x = basis.axis_coordinates()
+    rows = []
+    for idx in basis.mode_indices:
+        mode = _axis_mode(idx[0], x, basis.boundary)
+        for i in idx[1:]:
+            mode = np.multiply.outer(mode, _axis_mode(i, x, basis.boundary))
+        rows.append(mode.ravel())
+    return np.array(rows)
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +75,16 @@ def test_neumann_first_eigenvalue():
 
 def test_discrete_orthonormality(per1d, neu1d):
     for basis in (per1d, neu1d):
-        gram = basis.table @ basis.table.T * basis.cell_volume
+        table = _dense_table(basis)
+        gram = table @ table.T * basis.cell_volume
         assert np.max(np.abs(gram - np.eye(basis.n_modes))) <= 1e-10
 
 
 def test_periodic_supnorm_is_sqrt2_exactly():
     basis = build_basis(1, "periodic", 64, 63)
+    table = _dense_table(basis)
     for k in range(1, basis.n_modes):
-        assert np.max(np.abs(basis.table[k])) == np.sqrt(2.0)
+        assert np.max(np.abs(table[k])) == np.sqrt(2.0)
 
 
 def test_analyze_unit_vectors(per1d):
@@ -152,7 +170,7 @@ def test_weyl_ratio_bounded(per1d):
 
 def test_supnorm_growth_bound_2d():
     basis = build_basis(2, "periodic", 16, 40)
-    sups = np.max(np.abs(basis.table), axis=1)
+    sups = np.max(np.abs(_dense_table(basis)), axis=1)
     nu = basis.eigenvalues
     # sup |psi_k| <= C nu_k^((d-1)/2) with a fitted C, reported not pinned
     ratios = sups[1:] / nu[1:] ** 0.5
@@ -170,7 +188,8 @@ def test_mode_ordering_deterministic():
 def test_three_dimensional_tensor_basis():
     basis = build_basis(3, "periodic", 8, 20)
     assert basis.grid_shape == (8, 8, 8)
-    gram = basis.table @ basis.table.T * basis.cell_volume
+    table = _dense_table(basis)
+    gram = table @ table.T * basis.cell_volume
     assert np.max(np.abs(gram - np.eye(20))) <= 1e-10
     # first excited shell: one frequency-1 factor on some axis
     assert np.isclose(basis.eigenvalues[1], 4 * PI2)
@@ -198,3 +217,70 @@ def test_shape_mismatch_errors(per1d):
         analyze(per1d, np.zeros(33))
     with pytest.raises(ValueError):
         synthesize(per1d, np.zeros(per1d.n_modes + 1))
+
+
+def _resolvable(d, boundary, n):
+    return (n - 1 if boundary == "periodic" else n) ** d
+
+
+@st.composite
+def bases_and_seeds(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    boundary = draw(st.sampled_from(["periodic", "neumann"]))
+    n = draw(st.sampled_from({1: [8, 16, 64], 2: [8, 16, 32], 3: [8]}[d]))
+    full = _resolvable(d, boundary, n)
+    n_modes = draw(st.one_of(st.just(full), st.integers(1, full)))
+    return d, boundary, n, n_modes, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bases_and_seeds())
+# truncations that split a tie (2 of the 4 periodic modes at 4 pi^2, 2 of
+# the 3 Neumann modes at 2 pi^2) and the full bands of the largest grids
+@example((2, "periodic", 8, 3, 1))
+@example((3, "neumann", 8, 6, 2))
+@example((2, "periodic", 32, 31**2, 3))
+@example((3, "neumann", 8, 8**3, 4))
+def test_separable_transforms_match_dense_oracle(case):
+    d, boundary, n, n_modes, seed = case
+    basis = build_basis(d, boundary, n, n_modes)
+    table = _dense_table(basis)
+    for k in (0, basis.n_modes // 2, basis.n_modes - 1):
+        assert np.array_equal(basis.mode_field(k).ravel(), table[k])
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=basis.grid_shape)
+    coeffs = rng.normal(size=basis.n_modes)
+    cases = (
+        (analyze(basis, f), table @ f.ravel() * basis.cell_volume),
+        (synthesize(basis, coeffs).ravel(), coeffs @ table),
+        (synthesize(basis, coeffs[:1]).ravel(), coeffs[:1] @ table[:1]),
+        (apply_laplacian(basis, f).ravel(),
+         (-basis.eigenvalues * (table @ f.ravel() * basis.cell_volume))
+         @ table),
+    )
+    for got, want in cases:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_laplacian_matrix_matches_dense_oracle():
+    for basis in (build_basis(1, "periodic", 32, 31),
+                  build_basis(2, "neumann", 16, 200)):
+        table = _dense_table(basis)
+        want = table.T @ ((-basis.eigenvalues[:, None]) * table) \
+            * basis.cell_volume
+        assert np.array_equal(basis.laplacian_matrix(), want)
+
+
+def test_full_band_3d_n32_is_small_and_round_trips():
+    basis = build_basis(3, "neumann", 32, 32**3)
+    stored = (basis.eigenvalues.nbytes + basis.axis_table.nbytes
+              + basis.band_positions.nbytes)
+    assert stored < 1_000_000
+    assert basis.axis_table.shape == (32, 32)
+    f = np.random.default_rng(3).normal(size=basis.grid_shape)
+    coeffs = analyze(basis, f)
+    back = synthesize(basis, coeffs)
+    assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
+    assert np.max(np.abs(analyze(basis, back) - coeffs)) \
+        <= 1e-12 * np.max(np.abs(coeffs))

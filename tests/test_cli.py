@@ -397,3 +397,15 @@ def test_solver_failure_records_picard_residuals(tmp_path):
     assert failure["reason"] == "solver failure"
     residuals = failure["details"]["residuals"]
     assert len(residuals) == 2 and all(r > 0.0 for r in residuals)
+
+
+@pytest.mark.parametrize("modes", ["32", "-1"])
+def test_unresolvable_modes_fail_by_key(tmp_path, modes):
+    # N=32 periodic in d=1 resolves 31 modes
+    out = tmp_path / "out"
+    status = main(["simulate", "--out", str(out), "--override", "grid.n=32",
+                   "--override", f"grid.modes={modes}"])
+    assert status == 2
+    failure = _failure(out)
+    assert failure["reason"] == "invalid configuration"
+    assert "grid.modes" in failure["details"]["error"]

@@ -7,6 +7,7 @@ from klausim.basis import build_basis
 from klausim.fields import lp_norm
 from klausim.noise import (
     NoiseSpec,
+    _stream_key,
     bdg_selfcheck,
     generate_path,
     mode_normals,
@@ -206,3 +207,29 @@ def test_bdg_rejects_bad_arguments(basis):
         bdg_selfcheck(spec, basis, p=1.0, n_paths=2000)
     with pytest.raises(ValueError):
         bdg_selfcheck(spec, basis, p=2.0, n_paths=10)
+
+
+def test_sample_increments_equal_generate_path_rows():
+    """The per-step draw and the whole-path draw give the same fields bit for
+    bit (dt = 1/4: scaling by sqrt(dt) = 1/2 is exact in either order), also
+    when paths and rungs are visited out of order."""
+    basis = build_basis(1, "periodic", 16, 15)
+    spec = NoiseSpec(seed=9, c1=0.3, c2=0.2)
+    dt, n_steps = 0.25, 4
+    paths = {(p, r): generate_path(spec, basis, dt, n_steps, path_index=p,
+                                   rung=r)
+             for p, r in ((0, 0), (1, 0), (1, 1))}
+    for p, r in ((1, 0), (0, 0), (1, 1), (1, 0), (0, 0)):
+        for n in (0, 3, 1):
+            dw1, dw2 = sample_increments(spec, basis, dt, n, path_index=p,
+                                         rung=r)
+            path = paths[(p, r)]
+            assert np.array_equal(dw1, path.field_increment(1, n))
+            assert np.array_equal(dw2, path.field_increment(2, n))
+
+
+def test_stream_key_is_read_only():
+    key = _stream_key(3, 1, 0, 0)
+    with pytest.raises(ValueError):
+        key[0] = 0
+    assert _stream_key(3, 1, 0, 0) is key
