@@ -202,7 +202,9 @@ def _contract(values: np.ndarray, mat: np.ndarray, d: int) -> np.ndarray:
 
     Last axis first, then the middle ones as a stack of products, then the
     first: each step is one `@` on a reshaped array, with no transposes.
+    Needs d >= 2; the d = 1 transforms are a single `@` of their own.
     """
+    assert d >= 2
     n = mat.shape[1]
     out = values.reshape(-1, n) @ mat.T
     for axis in range(d - 2, 0, -1):
@@ -227,16 +229,14 @@ def expand(basis: SpectralBasis, coefficients: np.ndarray,
 def analyze(basis: SpectralBasis, values: np.ndarray) -> np.ndarray:
     """Coefficients <f, psi_k> for k < n_modes (rectangle-rule inner product)."""
     flat = np.asarray(values).reshape(-1)
-    cells = basis.grid_size
-    if flat.size != cells:
+    if flat.size != basis.grid_size:
         raise ValueError(
-            f"field has {flat.size} entries, basis grid has {cells}"
+            f"field has {flat.size} entries, basis grid has {basis.grid_size}"
         )
-    cell_volume = 1.0 / cells
     if basis.dimension == 1:
-        return basis.axis_table @ flat * cell_volume
+        return basis.axis_table @ flat * basis.cell_volume
     full = _contract(flat, basis.axis_table, basis.dimension)
-    return full[basis.band_positions] * cell_volume
+    return full[basis.band_positions] * basis.cell_volume
 
 
 def synthesize(basis: SpectralBasis, coefficients: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ in d >= 2.  Every d=1 run keeps its byte hashes.
 import dataclasses
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -169,8 +168,3 @@ def test_golden_krylov_values(tmp_path):
     scale = np.max(np.abs(want["norms"]), axis=0)
     assert np.all(np.abs(got["norms"] - want["norms"]) <= 1e-12 * scale)
 
-
-if __name__ == "__main__":
-    # python tests/test_golden.py record-krylov OUT_DIR: rewrite the npz
-    if sys.argv[1:2] == ["record-krylov"]:
-        np.savez(KRYLOV_NPZ, **krylov_arrays(Path(sys.argv[2])))
