@@ -20,6 +20,7 @@ discrete orthonormality holds to rounding.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -67,14 +68,16 @@ def _axis_eigenvalue(index: int, boundary: str) -> float:
     return np.pi**2 * index * index
 
 
+def resolvable_modes(d: int, boundary: str, n: int) -> int:
+    """Modes an N^d grid resolves.  Periodic axes drop the Nyquist frequency
+    n/2 (its sine vanishes on the grid), keeping 1 + 2*(n/2 - 1) = n - 1
+    modes each; Neumann axes keep all n."""
+    return (n - 1 if boundary == PERIODIC else n) ** d
+
+
 def _axis_indices(n: int, boundary: str) -> list[int]:
-    # Periodic: drop the Nyquist frequency n/2 (its sine vanishes on the
-    # grid), keeping 1 + 2*(n/2 - 1) = n - 1 orthonormal modes per axis.
     if boundary == PERIODIC:
-        out = [0]
-        for k in range(1, n // 2):
-            out.extend([-k, k])
-        return out
+        return [0] + [s * k for k in range(1, n // 2) for s in (-1, 1)]
     return list(range(n))
 
 
@@ -133,14 +136,13 @@ class SpectralBasis:
 
         L[i, j] = -sum_k nu_k psi_k(x_i) psi_k(x_j) h^d.  Cached; used by the
         implicit porous-medium solver when the grid is small enough for
-        direct linear algebra.  Holds the n_modes x N^d mode samples while
-        it is built.
+        direct linear algebra.  Holds the (r^d x N^d) per-axis products
+        while it is built; row band_positions[k] is psi_k.
         """
         lap = self._cache.get("laplacian_matrix")
         if lap is None:
-            modes = np.array(
-                [self.mode_field(k).reshape(-1) for k in range(self.n_modes)]
-            )
+            products = functools.reduce(np.kron, [self.axis_table] * self.dimension)
+            modes = products[self.band_positions]
             weighted = (-self.eigenvalues[:, None]) * modes
             lap = modes.T @ weighted * self.cell_volume
             self._cache["laplacian_matrix"] = lap
@@ -163,16 +165,17 @@ def build_basis(d: int, boundary: str, n: int, n_modes: int) -> SpectralBasis:
     if n & (n - 1):
         raise ValueError(f"N={n} is not a power of two")
 
+    resolvable = resolvable_modes(d, boundary, n)
+    if n_modes < 1 or n_modes > resolvable:
+        raise ValueError(
+            f"requested {n_modes} modes; resolvable range is 1..{resolvable} "
+            f"for N={n}, d={d}, {boundary}"
+        )
     axis = _axis_indices(n, boundary)
     spectrum = sorted(
         (sum(_axis_eigenvalue(i, boundary) for i in idx), idx)
         for idx in itertools.product(axis, repeat=d)
     )
-    if n_modes < 1 or n_modes > len(spectrum):
-        raise ValueError(
-            f"requested {n_modes} modes; resolvable range is 1..{len(spectrum)} "
-            f"for N={n}, d={d}, {boundary}"
-        )
     eigenvalues = np.array([lam for lam, _ in spectrum[:n_modes]])
     multi = [idx for _, idx in spectrum[:n_modes]]
 
@@ -252,10 +255,6 @@ def synthesize(basis: SpectralBasis, coefficients: np.ndarray) -> np.ndarray:
 
 def apply_laplacian(basis: SpectralBasis, values: np.ndarray) -> np.ndarray:
     """Band-limited Laplacian: mode k is scaled by -nu_k."""
-    values = np.asarray(values)
-    lap = basis._cache.get("laplacian_matrix")
-    if lap is not None:
-        return (lap @ values.reshape(-1)).reshape(basis.grid_shape)
     coeffs = analyze(basis, values)
     return synthesize(basis, -basis.eigenvalues * coeffs)
 

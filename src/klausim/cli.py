@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics, fixedpoint, noise as noise_mod
-from .basis import build_basis
+from .basis import build_basis, resolvable_modes
 from .diagnostics import HypothesisParams, validate_hypotheses
 from .dynamics import ModelConfig, NewtonError, SolverConfig, simulate_path
 from .fixedpoint import CutoffParams, PicardError
@@ -213,8 +213,7 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> None:
 
 def build_scenario(cfg: RunConfig) -> Scenario:
     g = cfg.values["grid"]
-    per_axis = g["n"] - 1 if g["boundary"] == "periodic" else g["n"]
-    resolvable = per_axis ** g["d"]
+    resolvable = resolvable_modes(g["d"], g["boundary"], g["n"])
     n_modes = g["modes"] or resolvable
     if not 0 < n_modes <= resolvable:
         raise ConfigError(
@@ -307,7 +306,7 @@ def _metadata_header(cfg: RunConfig, subcommand: str, seed_source: str,
 def write_norm_series(path: Path, traj, header: str) -> None:
     with open(path, "w") as fh:
         fh.write(header)
-        fh.write("# columns: time\tu_l2\tu_lgamma1\tv_hrho\tmin_u\tmin_v\th\n")
+        fh.write("# columns: " + "\t".join(("time",) + traj.NORM_COLUMNS) + "\n")
         for row in traj.norm_table():
             fh.write("\t".join(f"{x:.17g}" for x in row) + "\n")
 
@@ -636,7 +635,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         if ("run", "seed") in cfg.explicit:
             seed_source = "config"
         if os.environ.get(SEED_ENV_VAR) and seed_source == "default":
-            cfg.values["run"]["seed"] = int(os.environ[SEED_ENV_VAR])
+            try:
+                cfg.values["run"]["seed"] = int(os.environ[SEED_ENV_VAR])
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {SEED_ENV_VAR}: {exc}") from exc
             seed_source = "environment"
         if args.seed is not None:
             if seed_source == "config":

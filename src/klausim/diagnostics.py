@@ -178,11 +178,17 @@ class EnergyLedger:
 
     def combined_statistic(self, model: ModelConfig, p: float) -> float:
         """Left-hand side of the moment bound with its standard weights."""
-        return float(
-            self.sup_term[-1]
-            + model.gamma * p * (p + 1.0) * model.r_u * self.dissipation[-1]
-            + (p + 1.0) * self.coupling[-1]
-        )
+        return float(_moment_lhs(model, p, self.sup_term[-1],
+                                 self.dissipation[-1], self.coupling[-1]))
+
+
+def _moment_lhs(model: ModelConfig, p: float, sup_term, dissipation, coupling):
+    """sup |u|^(p+1) + gamma p (p+1) r_u dissipation + (p+1) coupling."""
+    return (
+        sup_term
+        + model.gamma * p * (p + 1.0) * model.r_u * dissipation
+        + (p + 1.0) * coupling
+    )
 
 
 def energy_monitor(
@@ -339,12 +345,7 @@ def ensemble_moments(
         name: Statistic(float(means[i]), float(stderrs[i]), len(indices))
         for i, name in enumerate(_STAT_NAMES)
     }
-    model = scenario.model
-    lhs_u = (
-        means[0]
-        + model.gamma * p * (p + 1.0) * model.r_u * means[1]
-        + (p + 1.0) * means[2]
-    )
+    lhs_u = _moment_lhs(scenario.model, p, means[0], means[1], means[2])
     u0_scale = lp_norm(scenario.u0, p + 1.0) ** (p + 1.0) + 1.0
     c0 = float(lhs_u / u0_scale)
     lhs_v = means[3] + means[4]

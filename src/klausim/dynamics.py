@@ -34,8 +34,9 @@ from .noise import NoisePath, stratonovich_correction
 ITO = "ito"
 STRATONOVICH = "stratonovich"
 
-# grids up to this many cells use a dense LU for the Newton updates
-_DENSE_LIMIT = 1024
+# grids up to this many cells use a dense LU for the Newton updates: the
+# measured crossover, past which preconditioned GMRES solves faster
+_DENSE_LIMIT = 256
 
 
 class NewtonError(RuntimeError):
@@ -202,30 +203,23 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
     if n <= _DENSE_LIMIT:
         lap = basis.laplacian_matrix()
 
-        def residual(z):
-            return z - coef * (lap @ power_gamma(z, gamma)) - rhs
+        def apply_lap(z):
+            return lap @ z
 
         def solve(deriv, res):
-            jac = -coef * lap * deriv[None, :]
-            jac[np.diag_indices_from(jac)] += 1.0
-            return np.linalg.solve(jac, -res)
+            return np.linalg.solve(np.eye(n) - coef * lap * deriv, -res)
     else:
         def apply_lap(z):
             return apply_laplacian(basis, z.reshape(shape)).reshape(-1)
 
-        def residual(z):
-            return z - coef * apply_lap(power_gamma(z, gamma)) - rhs
-
         def solve(deriv, res):
-            precond_scale = 1.0 / (
-                1.0 + coef * float(np.mean(deriv)) * basis.eigenvalues
-            )
+            # the Jacobian with deriv frozen at its mean, inverted on the
+            # band; the identity off it
+            scale = 1.0 / (1.0 + coef * float(np.mean(deriv)) * basis.eigenvalues)
 
             def pmv(z):
                 coeffs = analyze(basis, z.reshape(shape))
-                smooth = synthesize(basis, coeffs * precond_scale)
-                rough = z - synthesize(basis, coeffs).reshape(-1)
-                return smooth.reshape(-1) + rough
+                return z + synthesize(basis, coeffs * (scale - 1.0)).reshape(-1)
 
             jac = LinearOperator(
                 (n, n), matvec=lambda z: z - coef * apply_lap(deriv * z)
@@ -236,6 +230,9 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
             if info != 0:
                 raise np.linalg.LinAlgError(f"inner GMRES failed (info={info})")
             return delta
+
+    def residual(z):
+        return z - coef * apply_lap(power_gamma(z, gamma)) - rhs
 
     w = rhs.copy()
     res = residual(w)

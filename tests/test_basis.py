@@ -10,6 +10,7 @@ from klausim.basis import (
     analyze,
     apply_laplacian,
     build_basis,
+    resolvable_modes,
     synthesize,
     weyl_bound_constant,
     weyl_count,
@@ -270,6 +271,27 @@ def test_laplacian_matrix_matches_dense_oracle():
         want = table.T @ ((-basis.eigenvalues[:, None]) * table) \
             * basis.cell_volume
         assert np.array_equal(basis.laplacian_matrix(), want)
+
+
+def test_apply_laplacian_ignores_cached_matrix():
+    """The spectral Laplacian gives the same bits whether or not the dense
+    matrix of the implicit solver has been built on the same basis."""
+    basis = build_basis(2, "periodic", 16, 225)
+    f = np.random.default_rng(11).normal(size=basis.grid_shape)
+    before = apply_laplacian(basis, f)
+    basis.laplacian_matrix()
+    assert np.array_equal(apply_laplacian(basis, f), before)
+
+
+def test_resolvable_modes_is_the_full_band():
+    for d, boundary, n in ((1, "periodic", 64), (1, "neumann", 16),
+                           (2, "periodic", 8), (3, "neumann", 8)):
+        count = resolvable_modes(d, boundary, n)
+        assert count == _resolvable(d, boundary, n)
+        basis = build_basis(d, boundary, n, count)
+        assert len(set(basis.mode_indices)) == count
+        with pytest.raises(ValueError):
+            build_basis(d, boundary, n, count + 1)
 
 
 def test_full_band_3d_n32_is_small_and_round_trips():

@@ -277,6 +277,13 @@ def test_flag_override_records_both_seeds(tmp_path):
     assert "config_seed_overridden_by_flag: 7" in header
 
 
+def test_main_rejects_non_integer_env_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(SEED_ENV_VAR, "abc")
+    assert main(["simulate", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert SEED_ENV_VAR in err and "'abc'" in err
+
+
 def test_main_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[model]\ngama = 3\n")

@@ -134,6 +134,24 @@ def test_pm_step_krylov_path_manufactured_2d():
     assert np.max(np.abs(out - w_exact)) <= 1e-8
 
 
+@pytest.mark.parametrize("d,n,dense", [(1, 256, True), (2, 32, False),
+                                       (3, 8, False)])
+def test_pm_step_builds_dense_matrix_only_on_small_grids(d, n, dense):
+    """Dense LU up to 256 grid points, matrix-free GMRES past them: the
+    GMRES path never builds the N^d x N^d Laplacian."""
+    basis = build_basis(d, "neumann", n, min(n**d, 200))
+    model = ModelConfig(r_u=0.7, gamma=2.5, sigma1=0.0)
+    x = basis.axis_coordinates()
+    u = 1.0 + 0.3 * np.cos(np.pi * x)
+    for _ in range(d - 1):
+        u = np.multiply.outer(u, np.ones(n))
+    out = pm_implicit_step(
+        basis, u, np.zeros(basis.grid_shape), None, model, make_solver(), 5e-3
+    )
+    assert np.all(np.isfinite(out))
+    assert ("laplacian_matrix" in basis._cache) == dense
+
+
 def test_pm_step_reports_newton_failure(per64):
     model = ModelConfig(r_u=50.0, gamma=5.0, sigma1=0.0)
     u = 3.0 + 2.0 * per64.mode_field(1)
