@@ -230,8 +230,19 @@ def expand(basis: SpectralBasis, coefficients: np.ndarray,
 
 
 def analyze(basis: SpectralBasis, values: np.ndarray) -> np.ndarray:
-    """Coefficients <f, psi_k> for k < n_modes (rectangle-rule inner product)."""
-    flat = np.asarray(values).reshape(-1)
+    """Coefficients <f, psi_k> for k < n_modes (rectangle-rule inner product).
+
+    A stack of fields shaped (P,) + grid_shape gives (P, n_modes); row p is
+    bit for bit the coefficient vector of field p analyzed alone.
+    """
+    values = np.asarray(values)
+    if values.ndim == basis.dimension + 1 and values.shape[1:] == basis.grid_shape:
+        if basis.dimension == 1:
+            # one matrix-vector product per row, as below
+            return (np.matmul(basis.axis_table, values[..., None])[..., 0]
+                    * basis.cell_volume)
+        return np.array([analyze(basis, row) for row in values])
+    flat = values.reshape(-1)
     if flat.size != basis.grid_size:
         raise ValueError(
             f"field has {flat.size} entries, basis grid has {basis.grid_size}"
@@ -243,8 +254,18 @@ def analyze(basis: SpectralBasis, values: np.ndarray) -> np.ndarray:
 
 
 def synthesize(basis: SpectralBasis, coefficients: np.ndarray) -> np.ndarray:
-    """Grid samples of sum_k c_k psi_k, shaped (N,)*d."""
+    """Grid samples of sum_k c_k psi_k, shaped (N,)*d.
+
+    A (P, m) stack of coefficient vectors gives (P,) + grid_shape; row p is
+    bit for bit the field of vector p synthesized alone.
+    """
     coeffs = np.asarray(coefficients, dtype=float)
+    if coeffs.ndim == 2 and coeffs.shape[1] <= basis.n_modes:
+        if basis.dimension == 1:
+            # one vector-matrix product per row, as in `expand`
+            rows = basis.axis_table[: coeffs.shape[1]]
+            return np.matmul(coeffs[:, None, :], rows)[:, 0]
+        return np.array([synthesize(basis, row) for row in coeffs])
     if coeffs.ndim != 1 or coeffs.size > basis.n_modes:
         raise ValueError(
             f"coefficient vector of length {coeffs.size} exceeds the "

@@ -20,6 +20,7 @@ import io
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -211,7 +212,28 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> None:
 # ----------------------------------------------------------- construction
 
 
+def _kappa_ladder(cfg: RunConfig) -> list[float]:
+    """run.kappa_ladder as its truncation levels, strictly increasing and
+    positive."""
+    raw = cfg.get("run", "kappa_ladder")
+    try:
+        ladder = [float(x) for x in raw.split(",")]
+    except ValueError as exc:
+        raise ConfigError(
+            f"run.kappa_ladder={raw!r} is not a comma-separated list of "
+            f"numbers ({exc})"
+        ) from exc
+    increasing = all(a < b for a, b in zip(ladder, ladder[1:]))
+    if not (increasing and 0.0 < ladder[0] and ladder[-1] < np.inf):
+        raise ConfigError(
+            f"run.kappa_ladder={raw!r} must be strictly increasing finite "
+            f"positive levels"
+        )
+    return ladder
+
+
 def build_scenario(cfg: RunConfig) -> Scenario:
+    _kappa_ladder(cfg)
     g = cfg.values["grid"]
     resolvable = resolvable_modes(g["d"], g["boundary"], g["n"])
     n_modes = g["modes"] or resolvable
@@ -234,6 +256,11 @@ def build_scenario(cfg: RunConfig) -> Scenario:
         rho=hp_raw["rho"], l=hp_raw["l"], delta0=hp_raw["delta0"],
     )
     s = cfg.values["solver"]
+    if not 0.0 < s["dt"] or (s["t_final"] > 0.0 and s["dt"] > s["t_final"]):
+        raise ConfigError(
+            f"solver.dt={s['dt']!r} must be positive and at most "
+            f"solver.t_final={s['t_final']!r}"
+        )
     solver = SolverConfig(
         dt=s["dt"], t_final=s["t_final"], newton_tol=s["newton_tol"],
         newton_max_iter=s["newton_max_iter"],
@@ -432,7 +459,7 @@ def _cmd_picard(cfg, sc, out_dir, header, workers):
 
 
 def _cmd_glue(cfg, sc, out_dir, header, workers):
-    ladder = [float(x) for x in cfg.get("run", "kappa_ladder").split(",")]
+    ladder = _kappa_ladder(cfg)
     result = fixedpoint.glue_simulate(
         sc.u0, sc.v0, ladder, sc.model, sc.solver, sc.basis, sc.noise,
         sc.cutoff, tol=cfg.get("run", "picard_tol"),
@@ -593,6 +620,10 @@ def run(subcommand: str, cfg: RunConfig, out_dir, workers: Optional[int] = None,
         status = 1
     except FloatingPointError as exc:
         _write_failure(out_dir, subcommand, "non-finite statistic",
+                       {"error": str(exc)})
+        status = 1
+    except BrokenProcessPool as exc:
+        _write_failure(out_dir, subcommand, "worker crashed",
                        {"error": str(exc)})
         status = 1
     except (ConfigError, ValueError) as exc:

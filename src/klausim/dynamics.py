@@ -17,6 +17,11 @@ policy: step index on Newton failures, nonneg_policy=project, the
 finiteness check.  Direct runs, the frozen sweeps of the Picard iteration
 and the exit-time sampler all consume its states; the first two record the
 norm ledger and the budget h through one recorder.
+
+The step kernel also takes a batch of paths: fields shaped (P,) + grid.
+Every row then advances exactly as it would alone, bit for bit (each path
+runs its own Newton iteration and line search); the exit-time sampler
+steps all of its live paths this way.
 """
 
 from __future__ import annotations
@@ -37,17 +42,21 @@ STRATONOVICH = "stratonovich"
 # grids up to this many cells use a dense LU for the Newton updates: the
 # measured crossover, past which preconditioned GMRES solves faster
 _DENSE_LIMIT = 256
+# a batch of paths solves its dense Newton systems as stacks of at most
+# this many bytes of Jacobians (32 of them at the limit, 2048 at d=1 N=32)
+_LU_STACK_BYTES = 1 << 24
 
 
 class NewtonError(RuntimeError):
     """Implicit porous-medium solve failed to converge."""
 
     def __init__(self, message: str, residual: float, iterations: int,
-                 step_index: Optional[int] = None):
+                 step_index: Optional[int] = None, row: Optional[int] = None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
         self.step_index = step_index
+        self.row = row  # the failing row of a batch of paths
 
 
 @dataclass(frozen=True)
@@ -190,35 +199,63 @@ def heat_step(
     return out
 
 
+def _lp_rows(z: np.ndarray, p: float) -> list[float]:
+    """lp_norm of each row of a batch, bit for bit: a row's mean reduces as a
+    lone field's does, and each root is taken on a scalar as in lp_norm (an
+    array power rounds differently)."""
+    means = np.mean(np.abs(z.reshape(len(z), -1)) ** p, axis=-1)
+    return [float(m ** (1.0 / p)) for m in means]
+
+
 def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
     """Damped Newton with Armijo backtracking for w - coef Lap(w^[gamma]) = rhs,
     started from w = rhs; returns (w, final residual norm).
 
     Grids up to _DENSE_LIMIT cells solve each Newton system by dense LU;
     larger grids use matrix-free GMRES with a spectral preconditioner.
+
+    A batch, rhs shaped (P,) + grid with one tol_abs per path, iterates the
+    paths not yet converged together, each with its own line search, so
+    every path takes the iterates, step lengths and iteration count it
+    takes alone.  The Jacobian is block diagonal: LU solves the per-path
+    systems as a stack (at most _LU_STACK_BYTES at a time), GMRES one path
+    at a time.  The norms are then per path, and a failure names its row.
     """
     n = basis.grid_size
     shape = rhs.shape
-    rhs = rhs.reshape(-1)
+    batch = rhs.ndim > basis.dimension
+    rhs = rhs.reshape(len(rhs), -1) if batch else rhs.reshape(-1)
     if n <= _DENSE_LIMIT:
         lap = basis.laplacian_matrix()
+        block = max(1, _LU_STACK_BYTES // (8 * n * n))
 
         def apply_lap(z):
-            return lap @ z
+            if z.ndim == 1:
+                return lap @ z
+            return np.matmul(lap, z[..., None])[..., 0]  # lap @ each row
 
         def solve(deriv, res):
-            return np.linalg.solve(np.eye(n) - coef * lap * deriv, -res)
+            if deriv.ndim == 1:
+                return np.linalg.solve(np.eye(n) - coef * lap * deriv, -res)
+            jac = coef * lap * deriv[:, None, :]
+            np.subtract(np.eye(n), jac, out=jac)
+            return np.linalg.solve(jac, -res[..., None])[..., 0]
     else:
+        block = 1
+
         def apply_lap(z):
-            return apply_laplacian(basis, z.reshape(shape)).reshape(-1)
+            grid = z.reshape(z.shape[:-1] + basis.grid_shape)
+            return apply_laplacian(basis, grid).reshape(z.shape)
 
         def solve(deriv, res):
+            if deriv.ndim == 2:
+                return np.array([solve(d, r) for d, r in zip(deriv, res)])
             # the Jacobian with deriv frozen at its mean, inverted on the
             # band; the identity off it
             scale = 1.0 / (1.0 + coef * float(np.mean(deriv)) * basis.eigenvalues)
 
             def pmv(z):
-                coeffs = analyze(basis, z.reshape(shape))
+                coeffs = analyze(basis, z.reshape(basis.grid_shape))
                 return z + synthesize(basis, coeffs * (scale - 1.0)).reshape(-1)
 
             jac = LinearOperator(
@@ -231,11 +268,63 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
                 raise np.linalg.LinAlgError(f"inner GMRES failed (info={info})")
             return delta
 
-    def residual(z):
-        return z - coef * apply_lap(power_gamma(z, gamma)) - rhs
+    def residual(z, b):
+        return z - coef * apply_lap(power_gamma(z, gamma)) - b
+
+    if batch:
+        w = rhs.copy()
+        res = residual(w, rhs)
+        res_norm = np.array(_lp_rows(res, 2.0))
+        rows = np.arange(len(rhs))  # the paths still iterating
+        for iteration in range(max_iter):
+            rows = rows[~(res_norm[rows] <= tol_abs[rows])]
+            if rows.size == 0:
+                return w.reshape(shape), res_norm
+            deriv = gamma * np.abs(w[rows]) ** (gamma - 1.0) + 1e-12
+            delta = np.empty((rows.size, n))
+            for lo in range(0, rows.size, block):
+                part = slice(lo, lo + block)
+                try:
+                    delta[part] = solve(deriv[part], res[rows[part]])
+                except np.linalg.LinAlgError:
+                    for j in range(lo, min(lo + block, rows.size)):
+                        try:  # find the path whose system failed
+                            solve(deriv[j], res[rows[j]])
+                        except np.linalg.LinAlgError as exc:
+                            raise NewtonError(
+                                f"Newton system not solved: {exc}",
+                                float(res_norm[rows[j]]), iteration,
+                                row=int(rows[j]),
+                            ) from exc
+                    raise
+            # one alpha serves all paths still searching: each halved from 1
+            alpha = 1.0
+            search = np.arange(rows.size)
+            while search.size and alpha > 2.0**-30:
+                idx = rows[search]
+                trial = w[idx] + alpha * delta[search]
+                trial_res = residual(trial, rhs[idx])
+                trial_norm = np.array(_lp_rows(trial_res, 2.0))
+                ok = np.isfinite(trial_norm) & (
+                    trial_norm <= (1 - 1e-4 * alpha) * res_norm[idx])
+                w[idx[ok]] = trial[ok]
+                res[idx[ok]] = trial_res[ok]
+                res_norm[idx[ok]] = trial_norm[ok]
+                search = search[~ok]
+                alpha *= 0.5
+            if search.size:
+                row = int(rows[search[0]])
+                raise NewtonError("Newton line search stalled",
+                                  float(res_norm[row]), iteration, row=row)
+        row = int(rows[0])
+        raise NewtonError(
+            f"Newton did not reach tolerance {tol_abs[row]:.3e} "
+            f"(final residual {res_norm[row]:.3e})",
+            float(res_norm[row]), max_iter, row=row,
+        )
 
     w = rhs.copy()
-    res = residual(w)
+    res = residual(w, rhs)
     res_norm = lp_norm(res, 2.0)
     for iteration in range(max_iter):
         if res_norm <= tol_abs:
@@ -250,7 +339,7 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
         alpha = 1.0
         while alpha > 2.0**-30:
             trial = w + alpha * delta
-            trial_res = residual(trial)
+            trial_res = residual(trial, rhs)
             trial_norm = lp_norm(trial_res, 2.0)
             if np.isfinite(trial_norm) and trial_norm <= (1 - 1e-4 * alpha) * res_norm:
                 w, res, res_norm = trial, trial_res, trial_norm
@@ -280,7 +369,8 @@ def pm_implicit_step(
     Solves  w - dt r_u Lap(w^[gamma]) = u + dt source + sigma1 u dW1  by
     damped Newton.  The porous-medium flux is mean-free, so the mean of the
     solution is pinned to the mean of the right-hand side afterwards; this
-    keeps the Newton tolerance from leaking mass over long runs.
+    keeps the Newton tolerance from leaking mass over long runs.  Fields
+    shaped (P,) + grid are a batch of paths, each solved as alone.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -292,10 +382,20 @@ def pm_implicit_step(
     coef = dt * model.r_u
     if coef == 0.0:
         return rhs
-    tol_abs = solver.newton_tol * (1.0 + lp_norm(u, 2.0))
+    batch = u.ndim > basis.dimension
+    u_norm = np.array(_lp_rows(u, 2.0)) if batch else lp_norm(u, 2.0)
+    tol_abs = solver.newton_tol * (1.0 + u_norm)
     w, res_norm = _newton(
         basis, rhs, coef, model.gamma, tol_abs, solver.newton_max_iter
     )
+    if batch:
+        finite = np.isfinite(w.reshape(len(w), -1)).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise NewtonError("non-finite Newton iterate",
+                              float(res_norm[row]), -1, row=row)
+        means = [np.mean(f.reshape(len(f), -1), axis=-1) for f in (rhs, w)]
+        return w + (means[0] - means[1]).reshape((-1,) + (1,) * basis.dimension)
     if not np.all(np.isfinite(w)):
         raise NewtonError("non-finite Newton iterate", res_norm, -1)
     return w + (np.mean(rhs) - np.mean(w))
@@ -397,7 +497,8 @@ def _drive(state, solver, n_steps, step, increments):
     clipped to zero) after each; step(state, n, dw1, dw2) takes the noise
     increments(n) returns.  The per-step policy for every caller: a Newton
     failure gets the step index, nonneg_policy=project clips negative values
-    to zero, and a non-finite state aborts the run."""
+    to zero, and a non-finite state aborts the run.  A state holding a batch
+    of paths gets the same policy on every row."""
     project = solver.nonneg_policy == "project"
     for n in range(n_steps):
         dw1, dw2 = increments(n)
@@ -442,6 +543,13 @@ def _h_rates(u, v, cutoff) -> tuple[float, float]:
     """Integrands |u|_{L^(g+1)}^(g+1) and |v|_{L^m}^(m0) of the budget h."""
     g1 = cutoff.gamma + 1.0
     return lp_norm(u, g1) ** g1, lp_norm(v, cutoff.m) ** cutoff.m0
+
+
+def _h_rate_rows(u, v, cutoff) -> tuple[list[float], list[float]]:
+    """_h_rates of each row of a batch of paths, bit for bit."""
+    g1 = cutoff.gamma + 1.0
+    return ([x ** g1 for x in _lp_rows(u, g1)],
+            [x ** cutoff.m0 for x in _lp_rows(v, cutoff.m)])
 
 
 def _h_budget(sum_eta, sum_xi, dt: float, nu: float):

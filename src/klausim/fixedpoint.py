@@ -27,6 +27,7 @@ from .basis import SpectralBasis
 from .dynamics import (
     CoupledState,
     ModelConfig,
+    NewtonError,
     SolverConfig,
     Trajectory,
     simulate_path,
@@ -35,12 +36,20 @@ from .dynamics import (
     _drive,
     _h_budget,
     _h_column,
+    _h_rate_rows,
     _h_rates,
     _mult_drifts,
     _path_increments,
     _record_run,
 )
-from .noise import NoisePath, NoiseSpec, generate_path, sample_increments
+from .noise import (
+    NoisePath,
+    NoiseSpec,
+    generate_path,
+    _increment_rows,
+    _Normals,
+    _stream_key,
+)
 
 
 class PicardError(RuntimeError):
@@ -412,35 +421,6 @@ def glue_simulate(
     return GlueResult(trajectory=glued, rungs=rungs, used_decoupled_tail=used_tail)
 
 
-def _run_until_exit(basis, state, threshold, n_max, model, solver, spec,
-                    params, path_index, rung):
-    """Direct coupled stepping until h crosses the threshold.
-
-    On [0, tau) the truncated fixed point coincides with the plain coupled
-    dynamics (phi = 1 below the threshold), so stopping times can be sampled
-    without a Picard solve per rung.  Returns (exit step or None, end state).
-    """
-    drift1, drift2 = _mult_drifts(basis, model, spec, None)
-
-    def step(state, n, dw1, dw2):
-        return step_coupled(basis, state, model, solver, dw1, dw2, drift1, drift2)
-
-    def increments(n):
-        return sample_increments(
-            spec, basis, solver.dt, n, path_index=path_index, rung=rung
-        )
-
-    sum_eta = sum_xi = 0.0
-    for n, (new, _) in enumerate(_drive(state, solver, n_max, step, increments)):
-        rate_eta, rate_xi = _h_rates(state.u, state.v, params)
-        sum_eta += rate_eta
-        sum_xi += rate_xi
-        state = new
-        if _h_budget(sum_eta, sum_xi, solver.dt, params.nu) >= threshold:
-            return n + 1, state
-    return None, state
-
-
 @dataclass
 class ExitProbeResult:
     kappa: float
@@ -461,39 +441,102 @@ def _exit_ladder(kappa: float) -> list[float]:
     return levels
 
 
+def _exit_steps(scenario, levels: Sequence[float], n_paths: int):
+    """Step paths 0..n_paths-1 up the threshold ladder `levels` as one batch.
+
+    Each path climbs by direct coupled stepping: on [0, tau) the truncated
+    fixed point equals the plain coupled dynamics (phi = 1 below the
+    threshold).  h restarts from zero at each rung, and rung r of path i
+    draws its noise from the (seed, channel, i, r) substreams at its own
+    local step.  A path stops at its first rung that does not exit before
+    the horizon, when it exits at the horizon step, or after its last rung.
+    Every live path advances through one call of the step kernel per step,
+    and each ends bit for bit as it would stepped alone.
+
+    Returns (crossings, end): crossings[i, r] is the global step at which
+    path i's h reached levels[r] (-1 if it did not), and end is the batch
+    state holding each path as it stopped.
+    """
+    sc = scenario
+    basis, model, solver, spec = sc.basis, sc.model, sc.solver, sc.noise
+    n_total = solver.n_steps
+    drift1, drift2 = _mult_drifts(basis, model, spec, None)
+    thresholds = np.asarray(levels, dtype=float)
+    crossings = np.full((n_paths, len(levels)), -1)
+    rung = np.zeros(n_paths, dtype=int)
+    rung_start = np.zeros(n_paths, dtype=int)  # global step the rung began at
+    sums = np.zeros((2, n_paths))  # running sums of the two h integrands
+
+    def rung_keys(paths):
+        return [[_stream_key(spec.seed, channel, int(i), int(rung[i]))
+                 for channel in (1, 2)] for i in paths]
+
+    keys = np.array(rung_keys(range(n_paths)))  # (path, channel, key word)
+    normals = _Normals()
+    live = np.arange(n_paths)
+    state = CoupledState(np.repeat(sc.u0[None], n_paths, axis=0),
+                         np.repeat(sc.v0[None], n_paths, axis=0), 0.0)
+
+    def increments(n):
+        return _increment_rows(spec, basis, solver.dt, keys[live],
+                               n - rung_start[live], normals)
+
+    def step(state, n, dw1, dw2):
+        rows = CoupledState(state.u[live], state.v[live], state.t)
+        try:
+            moved = step_coupled(basis, rows, model, solver, dw1, dw2,
+                                 drift1, drift2)
+        except NewtonError as exc:
+            raise NewtonError(f"path {live[exc.row]}: {exc}", exc.residual,
+                              exc.iterations) from exc
+        u, v = state.u.copy(), state.v.copy()
+        u[live], v[live] = moved.u, moved.v
+        return CoupledState(u, v, moved.t)
+
+    for n, (new, _) in enumerate(_drive(state, solver, n_total, step,
+                                        increments)):
+        rate_eta, rate_xi = _h_rate_rows(state.u[live], state.v[live],
+                                         sc.cutoff)
+        sums[0, live] += rate_eta
+        sums[1, live] += rate_xi
+        state = new
+        h = np.array([_h_budget(a, b, solver.dt, sc.cutoff.nu) for a, b in
+                      zip(sums[0, live].tolist(), sums[1, live].tolist())])
+        crossed = live[h >= thresholds[rung[live]]]
+        crossings[crossed, rung[crossed]] = n + 1
+        # a crossing before the horizon climbs to the next rung, if any
+        climbs = (rung[crossed] + 1 < len(levels)) & (n + 1 < n_total)
+        climb = crossed[climbs]
+        rung[climb] += 1
+        rung_start[climb] = n + 1
+        sums[:, climb] = 0.0
+        if climb.size:
+            keys[climb] = rung_keys(climb)
+        live = live[~np.isin(live, crossed[~climbs])]
+        if live.size == 0:
+            break
+    return crossings, state
+
+
 def exit_prob_estimate(scenario, kappa: float, n_paths: int) -> ExitProbeResult:
     """Monte-Carlo estimate of P(tau_bar_kappa < T).
 
     tau_bar is the sum of the per-rung exit times over the threshold ladder
     1, 2, ..., kappa; below each threshold the truncated dynamics equal the
     plain coupled dynamics (phi = 1), so each rung is sampled by direct
-    stepping.  Rung substreams are keyed by (path, rung), making estimates
-    for nested ladders pathwise coupled; the tail probability is then
-    monotone in kappa by construction, as the Markov bound requires.
+    stepping, all paths at once.  Rung substreams are keyed by (path, rung),
+    making estimates for nested ladders pathwise coupled; the tail
+    probability is then monotone in kappa by construction, as the Markov
+    bound requires.  A path that exits its last rung at the horizon step is
+    not counted.
     """
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    levels = _exit_ladder(kappa)
-    n_total = scenario.solver.n_steps
-    exits = 0
-    for i in range(n_paths):
-        steps_done = 0
-        state = CoupledState(scenario.u0.copy(), scenario.v0.copy(), 0.0)
-        for rung, level in enumerate(levels):
-            exit_step, state = _run_until_exit(
-                scenario.basis, state, level, n_total - steps_done,
-                scenario.model, scenario.solver, scenario.noise,
-                scenario.cutoff, path_index=i, rung=rung,
-            )
-            if exit_step is None:
-                break
-            steps_done += exit_step
-            if steps_done >= n_total:
-                break
-        else:  # every rung exited before the horizon
-            exits += 1
+    crossings, _ = _exit_steps(scenario, _exit_ladder(kappa), n_paths)
+    last = crossings[:, -1]
+    exits = int(np.count_nonzero((last > 0) & (last < scenario.solver.n_steps)))
     p_hat = exits / n_paths
     stderr = float(np.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n_paths))
     return ExitProbeResult(

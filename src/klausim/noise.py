@@ -27,7 +27,9 @@ import numpy as np
 from .basis import SpectralBasis, expand, synthesize
 from .fields import lp_norm
 
-_STEP_STRIDE = 1 << 128  # Philox counter blocks reserved per time step
+# Philox counter blocks reserved per time step: step n starts at the 256-bit
+# counter n * 2^128, the little-endian words (0, 0, n mod 2^64, n >> 64)
+_STEP_STRIDE = 1 << 128
 
 
 @dataclass(frozen=True)
@@ -138,13 +140,52 @@ def validate_noise(
     )
 
 
-@functools.lru_cache(maxsize=2)  # both channels of the path being stepped
+# per-step callers (`sample_increments` -> `mode_normals`) hit this cache for
+# both channels of the one path they step; `generate_path` and the path
+# batch of `fixedpoint.exit_prob_estimate` derive each key once per call or
+# rung and keep it, so they pass through it once per (channel, path, rung)
+@functools.lru_cache(maxsize=2)
 def _stream_key(seed: int, channel: int, path: int, rung: int) -> np.ndarray:
     """Read-only Philox key of the (seed, channel, path, rung) substream."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(channel, path, rung))
     key = ss.generate_state(2, np.uint64)
     key.flags.writeable = False
     return key
+
+
+_SCRATCH_SEED = np.random.SeedSequence(0)
+
+
+class _Normals:
+    """Standard normals of any (key, step) block of the Philox streams.
+
+    One Philox serves every draw: setting its whole state (counter, key and
+    an empty output buffer) gives the bits a fresh Philox(counter=...,
+    key=...) would, at a third of the cost.  Callers that draw many blocks
+    keep one instance for all of them.
+    """
+
+    def __init__(self):
+        # every draw overwrites the whole state, so the seed never shows;
+        # a ready SeedSequence spares the OS-entropy one Philox() would make
+        self._philox = np.random.Philox(_SCRATCH_SEED)
+        self._generator = np.random.Generator(self._philox)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0,
+        }
+
+    def draw(self, key: np.ndarray, step_index: int, n: int) -> np.ndarray:
+        """n normals from block step_index * _STEP_STRIDE of stream `key`."""
+        step = int(step_index)
+        stream = self._state["state"]
+        stream["counter"][2] = step & 0xFFFFFFFFFFFFFFFF
+        stream["counter"][3] = step >> 64
+        stream["key"] = key
+        self._philox.state = self._state
+        return self._generator.standard_normal(n)
 
 
 def mode_normals(
@@ -159,8 +200,7 @@ def mode_normals(
     of (seed, channel, k, step, path, rung) regardless of how many modes are
     requested."""
     key = _stream_key(spec.seed, channel, path_index, rung)
-    bg = np.random.Philox(counter=int(step_index) * _STEP_STRIDE, key=key)
-    return np.random.Generator(bg).standard_normal(n_modes)
+    return _Normals().draw(key, step_index, n_modes)
 
 
 def sample_increments(
@@ -178,6 +218,33 @@ def sample_increments(
     for channel in (1, 2):
         lam = spec.spectrum(basis, channel)
         xi = mode_normals(spec, channel, step_index, basis.n_modes, path_index, rung)
+        out.append(synthesize(basis, lam * np.sqrt(dt) * xi))
+    return out[0], out[1]
+
+
+def _increment_rows(
+    spec: NoiseSpec,
+    basis: SpectralBasis,
+    dt: float,
+    keys: np.ndarray,
+    step_indices: np.ndarray,
+    normals: _Normals,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Field increments (dW1, dW2) for a batch of paths, shaped (P,) + grid.
+
+    Row p draws step step_indices[p] of its streams keys[p] = (channel-1
+    key, channel-2 key) from `_stream_key`, and equals sample_increments at
+    that (path, rung, step) bit for bit.
+    """
+    if dt <= 0:
+        raise ValueError(f"time step must be positive, got {dt}")
+    out = []
+    for channel in (1, 2):
+        lam = spec.spectrum(basis, channel)
+        xi = np.array([
+            normals.draw(key[channel - 1], step, basis.n_modes)
+            for key, step in zip(keys, step_indices)
+        ])
         out.append(synthesize(basis, lam * np.sqrt(dt) * xi))
     return out[0], out[1]
 
@@ -237,13 +304,11 @@ def generate_path(
         raise ValueError(f"time step must be positive, got {dt}")
     inc = np.empty((2, n_steps, basis.n_modes))
     root_dt = np.sqrt(dt)
+    normals = _Normals()
     for channel in (1, 2):
         key = _stream_key(spec.seed, channel, path_index, rung)
         for n in range(n_steps):
-            bg = np.random.Philox(counter=n * _STEP_STRIDE, key=key)
-            inc[channel - 1, n] = (
-                np.random.Generator(bg).standard_normal(basis.n_modes) * root_dt
-            )
+            inc[channel - 1, n] = normals.draw(key, n, basis.n_modes) * root_dt
     return NoisePath(
         basis=basis,
         spec=spec,

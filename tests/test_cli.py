@@ -1,12 +1,14 @@
 """Config round-trips, seeding precedence, and the run orchestrator."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klausim import diagnostics
 from klausim.cli import (
     ConfigError,
     SEED_ENV_VAR,
@@ -416,3 +418,42 @@ def test_unresolvable_modes_fail_by_key(tmp_path, modes):
     failure = _failure(out)
     assert failure["reason"] == "invalid configuration"
     assert "grid.modes" in failure["details"]["error"]
+
+
+def _crash_worker(path_index):
+    os._exit(1)
+
+
+def test_ensemble_worker_crash_writes_failure(tmp_path, monkeypatch):
+    # forked workers inherit the patched module
+    monkeypatch.setattr(diagnostics, "_worker_stats", _crash_worker)
+    cfg = make_cfg(**{"run.paths": "100", "grid.n": "16",
+                      "solver.t_final": "0.004"})
+    assert run("ensemble", cfg, tmp_path, workers=2) == 1
+    failure = _failure(tmp_path)
+    assert failure["reason"] == "worker crashed"
+    assert failure["details"]["error"]
+
+
+@pytest.mark.parametrize("ladder", ["abc", "1,x", "", "2,1", "1,1", "0,1",
+                                    "1,inf"])
+def test_bad_kappa_ladder_fails_by_key(tmp_path, ladder):
+    out = tmp_path / "out"
+    status = main(["glue", "--out", str(out),
+                   "--override", f"run.kappa_ladder={ladder}"])
+    assert status == 2
+    failure = _failure(out)
+    assert failure["reason"] == "invalid configuration"
+    assert "run.kappa_ladder" in failure["details"]["error"]
+
+
+@pytest.mark.parametrize("dt", ["0.1", "0", "-0.001"])
+def test_bad_time_step_fails_by_key(tmp_path, dt):
+    out = tmp_path / "out"
+    status = main(["simulate", "--out", str(out),
+                   "--override", "solver.t_final=0.05",
+                   "--override", f"solver.dt={dt}"])
+    assert status == 2
+    failure = _failure(out)
+    assert failure["reason"] == "invalid configuration"
+    assert "solver.dt" in failure["details"]["error"]
