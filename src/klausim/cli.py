@@ -261,6 +261,10 @@ def build_scenario(cfg: RunConfig) -> Scenario:
             f"solver.dt={s['dt']!r} must be positive and at most "
             f"solver.t_final={s['t_final']!r}"
         )
+    for key, value in (("run.paths", cfg.get("run", "paths")),
+                       ("solver.snapshot_stride", s["snapshot_stride"])):
+        if value < 1:
+            raise ConfigError(f"{key}={value} must be at least 1")
     solver = SolverConfig(
         dt=s["dt"], t_final=s["t_final"], newton_tol=s["newton_tol"],
         newton_max_iter=s["newton_max_iter"],
@@ -613,8 +617,9 @@ def run(subcommand: str, cfg: RunConfig, out_dir, workers: Optional[int] = None,
         status = _DISPATCH[subcommand](cfg, sc, out_dir, header, workers)
     except (NewtonError, PicardError) as exc:
         details = {"error": str(exc)}
-        for name in ("residual", "iterations", "step_index", "residuals"):
-            if hasattr(exc, name):
+        for name in ("residual", "iterations", "step_index", "residuals",
+                     "path"):
+            if getattr(exc, name, None) is not None:
                 details[name] = getattr(exc, name)
         _write_failure(out_dir, subcommand, "solver failure", details)
         status = 1
@@ -655,11 +660,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="worker processes for ensemble subcommands")
     args = parser.parse_args(argv)
 
+    cfg = default_config()
     try:
         if args.config is not None:
             cfg = parse_config(Path(args.config).read_text())
-        else:
-            cfg = default_config()
         apply_overrides(cfg, args.override)
         seed_source = "default"
         metadata_extra = []
@@ -680,6 +684,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             seed_source = "flag"
     except ConfigError as exc:
         print(f"klausim: {exc}", file=sys.stderr)
+        # --out, else run.out as far as the config was read
+        out_dir = Path(args.out or cfg.get("run", "out"))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_failure(out_dir, args.subcommand, "invalid configuration",
+                       {"error": str(exc)})
         return 2
     out_dir = args.out if args.out is not None else cfg.get("run", "out")
     return run(args.subcommand, cfg, out_dir, workers=args.workers,

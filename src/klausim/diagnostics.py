@@ -13,15 +13,22 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .basis import SpectralBasis
-from .dynamics import ModelConfig, Trajectory, simulate_path
-from .fields import gradient_squared, lp_norm, sobolev_norm
+from .dynamics import (
+    ModelConfig,
+    Trajectory,
+    step_coupled,
+    _mult_drifts,
+    _record_run,
+)
+from .fields import _lp_rows, gradient_squared, lp_norm, sobolev_norm
 from .fixedpoint import FrozenPair, picard_solve
-from .noise import generate_path
+from .noise import generate_path, _increment_rows, _Normals, _stream_key
 
 
 @dataclass(frozen=True)
@@ -191,13 +198,28 @@ def _moment_lhs(model: ModelConfig, p: float, sup_term, dissipation, coupling):
     )
 
 
+def _energy_rates(basis: SpectralBasis, u, v, p: float, model: ModelConfig):
+    """The moment-bound integrands of each row of the stacks u, v (rows,) +
+    grid: |u|_{L^(p+1)}^(p+1) (a list), and the means of
+    |u|^(p+gamma-2) |grad u|^2 and of |u|^(p+1) v^2 (arrays).  Each entry is
+    bit for bit its lone field's: rows reduce as lone fields do and the
+    power of the norm is taken on a scalar."""
+    n = basis.grid_size
+    sup = [x ** (p + 1.0) for x in _lp_rows(u, p + 1.0)]
+    diss = np.abs(u) ** (p + model.gamma - 2.0) * gradient_squared(basis, u)
+    coup = np.abs(u) ** (p + 1.0) * v**2
+    return (sup, np.add.reduce(diss.reshape(len(u), n), axis=-1) / n,
+            np.add.reduce(coup.reshape(len(u), n), axis=-1) / n)
+
+
 def energy_monitor(
     traj: Trajectory, p: float, model: ModelConfig, basis: SpectralBasis
 ) -> EnergyLedger:
     """Per-record ledger of the three moment-bound accumulators.
 
     Requires full snapshots (snapshot stride 1); integrals use left-endpoint
-    quadrature in time and the rectangle rule in space.
+    quadrature in time and the rectangle rule in space.  The recorded times
+    are the rows of `_energy_rates`; the accumulators add left to right.
     """
     if p < 1.0:
         raise ValueError(f"p must be at least 1, got {p}")
@@ -205,29 +227,14 @@ def energy_monitor(
         raise ValueError("energy monitor needs full snapshots (stride 1)")
     n = traj.times.size
     dt = float(traj.times[1] - traj.times[0]) if n > 1 else 0.0
-    sup_term = np.empty(n)
-    dissipation = np.empty(n)
-    coupling = np.empty(n)
-    running_sup = 0.0
-    acc_diss = 0.0
-    acc_coup = 0.0
-    for i in range(n):
-        u = traj.u_snapshots[i]
-        v = traj.v_snapshots[i]
-        running_sup = max(running_sup, lp_norm(u, p + 1.0) ** (p + 1.0))
-        sup_term[i] = running_sup
-        dissipation[i] = acc_diss
-        coupling[i] = acc_coup
-        if i < n - 1:
-            gsq = gradient_squared(u, basis.boundary)
-            acc_diss += dt * float(
-                np.mean(np.abs(u) ** (p + model.gamma - 2.0) * gsq)
-            )
-            acc_coup += dt * model.chi * float(
-                np.mean(np.abs(u) ** (p + 1.0) * v**2)
-            )
+    sup, diss, coup = _energy_rates(basis, traj.u_snapshots, traj.v_snapshots,
+                                    p, model)
+    dissipation = np.zeros(n)
+    coupling = np.zeros(n)
+    np.cumsum(dt * diss[:-1], out=dissipation[1:])
+    np.cumsum(dt * model.chi * coup[:-1], out=coupling[1:])
     return EnergyLedger(
-        times=traj.times.copy(), sup_term=sup_term,
+        times=traj.times.copy(), sup_term=np.maximum.accumulate(sup),
         dissipation=dissipation, coupling=coupling,
     )
 
@@ -264,51 +271,76 @@ _STAT_NAMES = (
 )
 
 
-def _path_statistics(scenario, p: float, rho: float, m0: float,
-                     path_index: int) -> np.ndarray:
+def _chunk_statistics(scenario, p: float, rho: float, m0: float,
+                      indices) -> np.ndarray:
+    """The _STAT_NAMES of paths `indices`, one row each in that order.
+
+    The paths advance as one batch through the recorder; each draws the
+    noise generate_path would give it, rounded as its stored path, so every
+    row equals the path run alone bit for bit.  The statistics stream: each
+    record adds its per-row rates, and no snapshot is kept.
+    """
     sc = scenario
-    path = generate_path(
-        sc.noise, sc.basis, sc.solver.dt, sc.solver.n_steps,
-        path_index=path_index,
-    )
-    # recorded at rho, the ledger's v_hrho column is |v|_{H^rho} per snapshot
-    solver = replace(sc.solver, snapshot_stride=1, record_rho=rho)
-    traj = simulate_path(sc.basis, sc.u0, sc.v0, sc.model, solver, path)
-    ledger = energy_monitor(traj, p, sc.model, sc.basis)
-    dt = sc.solver.dt
-    v_hrho = traj.norms["v_hrho"]
-    sup_v = 0.0
-    smooth = 0.0
-    for i in range(traj.times.size):
-        v = traj.v_snapshots[i]
-        sup_v = max(sup_v, float(v_hrho[i]) ** m0)
-        if i < traj.times.size - 1:
-            smooth += dt * sobolev_norm(sc.basis, v, rho + 1.0) ** 2
-    if not np.isfinite([ledger.sup_term[-1], ledger.dissipation[-1],
-                        ledger.coupling[-1], sup_v, smooth]).all():
+    basis, model, spec = sc.basis, sc.model, sc.noise
+    dt, n_steps = sc.solver.dt, sc.solver.n_steps
+    indices = np.asarray(indices, dtype=int)
+    keys = np.array([[_stream_key(spec.seed, channel, int(i), 0)
+                      for channel in (1, 2)] for i in indices])
+    normals = _Normals()
+    drift1, drift2 = _mult_drifts(basis, model, spec, None)
+    # recorded at rho, the ledger's v_hrho column is |v|_{H^rho} per record
+    solver = replace(sc.solver, record_rho=rho)
+
+    def increments(n):
+        return _increment_rows(spec, basis, dt, keys, [n] * len(keys),
+                               normals, stored=True)
+
+    def step(state, n, dw1, dw2):
+        return step_coupled(basis, state, model, solver, dw1, dw2,
+                            drift1, drift2)
+
+    # running sup |u|^(p+1), dissipation, coupling, smoothing sum
+    acc = np.zeros((4, len(indices)))
+
+    def observe(n, u, v):
+        sup, diss, coup = _energy_rates(basis, u, v, p, model)
+        np.maximum(acc[0], sup, out=acc[0])
+        if n < n_steps:
+            acc[1] += dt * diss
+            acc[2] += dt * model.chi * coup
+            acc[3] += [dt * x ** 2
+                       for x in sobolev_norm(basis, v, rho + 1.0).tolist()]
+
+    u0 = np.repeat(sc.u0[None], len(indices), axis=0)
+    v0 = np.repeat(sc.v0[None], len(indices), axis=0)
+    traj = _record_run(basis, u0, v0, model, solver, step, increments, None,
+                       max(n_steps, 1), indices, observe)
+    sup_v = [max([0.0] + [x ** m0 for x in col])
+             for col in traj.norms["v_hrho"].T.tolist()]
+    # C order: the report's means add rows in order
+    stats = np.column_stack([acc[0], acc[1], acc[2], sup_v, acc[3]])
+    finite = np.isfinite(stats).all(axis=1)
+    if not finite.all():
         raise FloatingPointError(
-            f"non-finite path statistic for path {path_index} "
-            f"(seed {sc.noise.seed})"
+            f"non-finite path statistic for path {indices[np.argmin(finite)]} "
+            f"(seed {spec.seed})"
         )
-    return np.array([
-        ledger.sup_term[-1],
-        ledger.dissipation[-1],
-        ledger.coupling[-1],
-        sup_v,
-        smooth ** (m0 / 2.0),
-    ])
+    stats[:, 4] = [x ** (m0 / 2.0) for x in acc[3].tolist()]
+    return stats
 
 
-_WORKER_CTX: dict = {}
-
-
-def _init_worker(scenario, p, rho, m0):
-    _WORKER_CTX["args"] = (scenario, p, rho, m0)
-
-
-def _worker_stats(path_index):
-    scenario, p, rho, m0 = _WORKER_CTX["args"]
-    return _path_statistics(scenario, p, rho, m0, path_index)
+def _ensemble_rows(scenario, p: float, indices, workers: int) -> np.ndarray:
+    """_STAT_NAMES of each path of `indices`, row j for path indices[j].
+    The paths split into contiguous chunks, one per worker, each stepped as
+    one batch; a row does not depend on its chunk."""
+    hp = scenario.hypothesis
+    chunk_stats = partial(_chunk_statistics, scenario, p, hp.rho, hp.m0)
+    workers = max(1, min(workers, len(indices)))
+    chunks = np.array_split(np.asarray(indices, dtype=int), workers)
+    if workers == 1:
+        return chunk_stats(chunks[0])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(chunk_stats, chunks)))
 
 
 def ensemble_moments(
@@ -325,20 +357,8 @@ def ensemble_moments(
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
     hp = scenario.hypothesis
-    rho, m0 = hp.rho, hp.m0
     indices = list(range(n_paths)) if path_indices is None else list(path_indices)
-    rows = np.empty((len(indices), len(_STAT_NAMES)))
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker,
-            initargs=(scenario, p, rho, m0),
-        ) as pool:
-            for j, row in enumerate(pool.map(_worker_stats, indices,
-                                             chunksize=8)):
-                rows[j] = row
-    else:
-        for j, idx in enumerate(indices):
-            rows[j] = _path_statistics(scenario, p, rho, m0, idx)
+    rows = _ensemble_rows(scenario, p, indices, workers)
     means = rows.mean(axis=0)
     stderrs = rows.std(axis=0, ddof=1) / np.sqrt(len(indices))
     stats = {
@@ -351,7 +371,7 @@ def ensemble_moments(
     lhs_v = means[3] + means[4]
     v0_scale = (
         1.0
-        + sobolev_norm(scenario.basis, scenario.v0, rho) ** m0
+        + sobolev_norm(scenario.basis, scenario.v0, hp.rho) ** hp.m0
         + lp_norm(scenario.u0, 2.0) ** hp.l
     )
     c2 = float(lhs_v / v0_scale)
@@ -390,15 +410,9 @@ def weak_norm_distance(
     basis: SpectralBasis, traj_a: Trajectory, traj_b: Trajectory, delta0: float
 ) -> float:
     """sup_t |u1-u2|_{H^-1} + sup_t |v1-v2|_{H^-delta0} on the shared grid."""
-    du = max(
-        sobolev_norm(basis, a - b, -1.0)
-        for a, b in zip(traj_a.u_snapshots, traj_b.u_snapshots)
-    )
-    dv = max(
-        sobolev_norm(basis, a - b, -delta0)
-        for a, b in zip(traj_a.v_snapshots, traj_b.v_snapshots)
-    )
-    return float(du + dv)
+    du = sobolev_norm(basis, traj_a.u_snapshots - traj_b.u_snapshots, -1.0)
+    dv = sobolev_norm(basis, traj_a.v_snapshots - traj_b.v_snapshots, -delta0)
+    return float(du.max() + dv.max())
 
 
 def uniqueness_experiment(

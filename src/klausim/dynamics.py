@@ -13,19 +13,22 @@ extension dynamics, which also drop k, f, g and give v unit extra decay.
 
 One time driver repeats a step with noise increments from a per-step
 source (a stored path, or Philox draws per step) and applies the per-step
-policy: step index on Newton failures, nonneg_policy=project, the
-finiteness check.  Direct runs, the frozen sweeps of the Picard iteration
-and the exit-time sampler all consume its states; the first two record the
-norm ledger and the budget h through one recorder.
+policy: step index and failing path on Newton failures,
+nonneg_policy=project, the finiteness check.  Direct runs, the frozen
+sweeps of the Picard iteration, the moment ensemble and the exit-time
+sampler all consume its states; all but the last record the norm ledger
+and the budget h through one recorder.
 
-The step kernel also takes a batch of paths: fields shaped (P,) + grid.
-Every row then advances exactly as it would alone, bit for bit (each path
-runs its own Newton iteration and line search); the exit-time sampler
-steps all of its live paths this way.
+The Newton driver, the row norms and the recorder compute on one shape, a
+batch of paths (P,) + grid; a lone field is a batch of one.  Every row
+advances exactly as it would alone, bit for bit: each path runs its own
+Newton iteration and line search, and each norm reduces its row as a lone
+field's and takes its roots and powers on scalars.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,7 +36,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .basis import SpectralBasis, analyze, apply_laplacian, synthesize
-from .fields import lp_norm, power_gamma, sobolev_norm
+from .fields import _lp_rows, power_gamma, sobolev_norm
 from .noise import NoisePath, stratonovich_correction
 
 ITO = "ito"
@@ -57,6 +60,11 @@ class NewtonError(RuntimeError):
         self.iterations = iterations
         self.step_index = step_index
         self.row = row  # the failing row of a batch of paths
+        self.path = None  # its global path index, set by the time driver
+
+    def __reduce__(self):  # pickled whole, so a pool worker's error arrives
+        return (type(self), (str(self), self.residual, self.iterations,
+                             self.step_index, self.row), {"path": self.path})
 
 
 @dataclass(frozen=True)
@@ -199,46 +207,33 @@ def heat_step(
     return out
 
 
-def _lp_rows(z: np.ndarray, p: float) -> list[float]:
-    """lp_norm of each row of a batch, bit for bit: a row's mean reduces as a
-    lone field's does, and each root is taken on a scalar as in lp_norm (an
-    array power rounds differently)."""
-    means = np.mean(np.abs(z.reshape(len(z), -1)) ** p, axis=-1)
-    return [float(m ** (1.0 / p)) for m in means]
-
-
 def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
-    """Damped Newton with Armijo backtracking for w - coef Lap(w^[gamma]) = rhs,
-    started from w = rhs; returns (w, final residual norm).
+    """Damped Newton with Armijo backtracking for w - coef Lap(w^[gamma]) = rhs
+    on each row of rhs (P, grid_size), started from w = rhs, with one
+    tol_abs per row; returns (w, final residual norm of each row).
 
-    Grids up to _DENSE_LIMIT cells solve each Newton system by dense LU;
-    larger grids use matrix-free GMRES with a spectral preconditioner.
-
-    A batch, rhs shaped (P,) + grid with one tol_abs per path, iterates the
-    paths not yet converged together, each with its own line search, so
-    every path takes the iterates, step lengths and iteration count it
-    takes alone.  The Jacobian is block diagonal: LU solves the per-path
-    systems as a stack (at most _LU_STACK_BYTES at a time), GMRES one path
-    at a time.  The norms are then per path, and a failure names its row.
+    The rows not yet converged iterate together, each with its own line
+    search, so every row takes the iterates, step lengths and iteration
+    count it takes alone.  Grids up to _DENSE_LIMIT cells solve the Newton
+    systems by dense LU, as stacks of at most _LU_STACK_BYTES of Jacobians;
+    larger grids use matrix-free GMRES with a spectral preconditioner, one
+    row at a time.  A failure names its row.
     """
     n = basis.grid_size
-    shape = rhs.shape
-    batch = rhs.ndim > basis.dimension
-    rhs = rhs.reshape(len(rhs), -1) if batch else rhs.reshape(-1)
     if n <= _DENSE_LIMIT:
         lap = basis.laplacian_matrix()
         block = max(1, _LU_STACK_BYTES // (8 * n * n))
+        neg_lap = -coef * lap
 
         def apply_lap(z):
-            if z.ndim == 1:
-                return lap @ z
             return np.matmul(lap, z[..., None])[..., 0]  # lap @ each row
 
         def solve(deriv, res):
-            if deriv.ndim == 1:
-                return np.linalg.solve(np.eye(n) - coef * lap * deriv, -res)
-            jac = coef * lap * deriv[:, None, :]
-            np.subtract(np.eye(n), jac, out=jac)
+            # I - coef lap deriv, rounded as np.eye(n) - coef * lap * deriv
+            jac = neg_lap * deriv[:, None, :]
+            jac.reshape(len(jac), n * n)[:, :: n + 1] += 1.0
+            if len(jac) == 1:  # same bits, without the stacked call's cost
+                return np.linalg.solve(jac[0], -res[0])[None]
             return np.linalg.solve(jac, -res[..., None])[..., 0]
     else:
         block = 1
@@ -248,8 +243,7 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
             return apply_laplacian(basis, grid).reshape(z.shape)
 
         def solve(deriv, res):
-            if deriv.ndim == 2:
-                return np.array([solve(d, r) for d, r in zip(deriv, res)])
+            (deriv,), (res,) = deriv, res  # a block holds one row
             # the Jacobian with deriv frozen at its mean, inverted on the
             # band; the identity off it
             scale = 1.0 / (1.0 + coef * float(np.mean(deriv)) * basis.eigenvalues)
@@ -266,92 +260,65 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
                                 maxiter=200)
             if info != 0:
                 raise np.linalg.LinAlgError(f"inner GMRES failed (info={info})")
-            return delta
+            return delta[None]
 
     def residual(z, b):
         return z - coef * apply_lap(power_gamma(z, gamma)) - b
 
-    if batch:
-        w = rhs.copy()
-        res = residual(w, rhs)
-        res_norm = np.array(_lp_rows(res, 2.0))
-        rows = np.arange(len(rhs))  # the paths still iterating
-        for iteration in range(max_iter):
-            rows = rows[~(res_norm[rows] <= tol_abs[rows])]
-            if rows.size == 0:
-                return w.reshape(shape), res_norm
-            deriv = gamma * np.abs(w[rows]) ** (gamma - 1.0) + 1e-12
-            delta = np.empty((rows.size, n))
-            for lo in range(0, rows.size, block):
-                part = slice(lo, lo + block)
-                try:
-                    delta[part] = solve(deriv[part], res[rows[part]])
-                except np.linalg.LinAlgError:
-                    for j in range(lo, min(lo + block, rows.size)):
-                        try:  # find the path whose system failed
-                            solve(deriv[j], res[rows[j]])
-                        except np.linalg.LinAlgError as exc:
-                            raise NewtonError(
-                                f"Newton system not solved: {exc}",
-                                float(res_norm[rows[j]]), iteration,
-                                row=int(rows[j]),
-                            ) from exc
-                    raise
-            # one alpha serves all paths still searching: each halved from 1
-            alpha = 1.0
-            search = np.arange(rows.size)
-            while search.size and alpha > 2.0**-30:
-                idx = rows[search]
-                trial = w[idx] + alpha * delta[search]
-                trial_res = residual(trial, rhs[idx])
-                trial_norm = np.array(_lp_rows(trial_res, 2.0))
-                ok = np.isfinite(trial_norm) & (
-                    trial_norm <= (1 - 1e-4 * alpha) * res_norm[idx])
-                w[idx[ok]] = trial[ok]
-                res[idx[ok]] = trial_res[ok]
-                res_norm[idx[ok]] = trial_norm[ok]
-                search = search[~ok]
-                alpha *= 0.5
-            if search.size:
-                row = int(rows[search[0]])
-                raise NewtonError("Newton line search stalled",
-                                  float(res_norm[row]), iteration, row=row)
-        row = int(rows[0])
-        raise NewtonError(
-            f"Newton did not reach tolerance {tol_abs[row]:.3e} "
-            f"(final residual {res_norm[row]:.3e})",
-            float(res_norm[row]), max_iter, row=row,
-        )
-
+    # per-row scalars live in lists: a row's tests are then the scalar
+    # comparisons a lone field makes, at scalar cost
     w = rhs.copy()
     res = residual(w, rhs)
-    res_norm = lp_norm(res, 2.0)
+    res_norm = _lp_rows(res, 2.0)
     for iteration in range(max_iter):
-        if res_norm <= tol_abs:
-            return w.reshape(shape), res_norm
-        deriv = gamma * np.abs(w) ** (gamma - 1.0) + 1e-12
+        ids = [i for i, (r, t) in enumerate(zip(res_norm, tol_abs))
+               if not r <= t]  # the rows still iterating
+        if not ids:
+            return w, res_norm
+        rows = slice(None) if len(ids) == len(w) else ids  # a view if all
+        deriv = gamma * np.abs(w[rows]) ** (gamma - 1.0) + 1e-12
+        res_rows = res[rows]
         try:
-            delta = solve(deriv, res)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError(
-                f"Newton system not solved: {exc}", res_norm, iteration
-            ) from exc
+            parts = [solve(deriv[lo:lo + block], res_rows[lo:lo + block])
+                     for lo in range(0, len(ids), block)]
+        except np.linalg.LinAlgError:
+            for j, row in enumerate(ids):  # name the first failing row
+                try:
+                    solve(deriv[j:j + 1], res_rows[j:j + 1])
+                except np.linalg.LinAlgError as exc:
+                    raise NewtonError(f"Newton system not solved: {exc}",
+                                      res_norm[row], iteration, row=row) from exc
+            raise
+        delta = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        # one alpha serves all rows still searching: each halved from 1
         alpha = 1.0
-        while alpha > 2.0**-30:
-            trial = w + alpha * delta
-            trial_res = residual(trial, rhs)
-            trial_norm = lp_norm(trial_res, 2.0)
-            if np.isfinite(trial_norm) and trial_norm <= (1 - 1e-4 * alpha) * res_norm:
+        search = ids
+        while search:
+            if not alpha > 2.0**-30:
+                raise NewtonError("Newton line search stalled",
+                                  res_norm[search[0]], iteration, row=search[0])
+            trial = w[rows] + alpha * delta
+            trial_res = residual(trial, rhs[rows])
+            trial_norm = _lp_rows(trial_res, 2.0)
+            ok = [math.isfinite(t) and t <= (1 - 1e-4 * alpha) * res_norm[i]
+                  for i, t in zip(search, trial_norm)]
+            if all(ok) and isinstance(rows, slice):  # every row took alpha
                 w, res, res_norm = trial, trial_res, trial_norm
                 break
+            took = [j for j, o in enumerate(ok) if o]
+            w[[search[j] for j in took]] = trial[took]
+            res[[search[j] for j in took]] = trial_res[took]
+            for j in took:
+                res_norm[search[j]] = trial_norm[j]
+            left = [j for j, o in enumerate(ok) if not o]
+            search = rows = [search[j] for j in left]
+            delta = delta[left]
             alpha *= 0.5
-        else:
-            raise NewtonError("Newton line search stalled", res_norm, iteration)
+    row = ids[0]
     raise NewtonError(
-        f"Newton did not reach tolerance {tol_abs:.3e} "
-        f"(final residual {res_norm:.3e})",
-        res_norm,
-        max_iter,
+        f"Newton did not reach tolerance {tol_abs[row]:.3e} "
+        f"(final residual {res_norm[row]:.3e})",
+        res_norm[row], max_iter, row=row,
     )
 
 
@@ -370,7 +337,8 @@ def pm_implicit_step(
     damped Newton.  The porous-medium flux is mean-free, so the mean of the
     solution is pinned to the mean of the right-hand side afterwards; this
     keeps the Newton tolerance from leaking mass over long runs.  Fields
-    shaped (P,) + grid are a batch of paths, each solved as alone.
+    shaped (P,) + grid are a batch of paths, each solved as alone; a lone
+    field is solved as a batch of one.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -382,23 +350,20 @@ def pm_implicit_step(
     coef = dt * model.r_u
     if coef == 0.0:
         return rhs
-    batch = u.ndim > basis.dimension
-    u_norm = np.array(_lp_rows(u, 2.0)) if batch else lp_norm(u, 2.0)
-    tol_abs = solver.newton_tol * (1.0 + u_norm)
+    rows = rhs.reshape(-1, basis.grid_size)  # a lone field is a batch of one
+    tol_abs = [solver.newton_tol * (1.0 + x)
+               for x in _lp_rows(u.reshape(rows.shape), 2.0)]
     w, res_norm = _newton(
-        basis, rhs, coef, model.gamma, tol_abs, solver.newton_max_iter
+        basis, rows, coef, model.gamma, tol_abs, solver.newton_max_iter
     )
-    if batch:
-        finite = np.isfinite(w.reshape(len(w), -1)).all(axis=1)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise NewtonError("non-finite Newton iterate",
-                              float(res_norm[row]), -1, row=row)
-        means = [np.mean(f.reshape(len(f), -1), axis=-1) for f in (rhs, w)]
-        return w + (means[0] - means[1]).reshape((-1,) + (1,) * basis.dimension)
-    if not np.all(np.isfinite(w)):
-        raise NewtonError("non-finite Newton iterate", res_norm, -1)
-    return w + (np.mean(rhs) - np.mean(w))
+    if not np.isfinite(w).all():
+        row = int(np.argmin(np.isfinite(w).all(axis=1)))
+        raise NewtonError("non-finite Newton iterate", res_norm[row], -1,
+                          row=row)
+    # each row's mean, as np.mean takes it, at a third of its overhead
+    n = basis.grid_size
+    shift = np.add.reduce(rows, axis=-1) / n - np.add.reduce(w, axis=-1) / n
+    return (w + shift[:, None]).reshape(rhs.shape)
 
 
 def _mult_drifts(basis, model, noise_spec, override):
@@ -492,25 +457,34 @@ def step_decoupled(
                      None)
 
 
-def _drive(state, solver, n_steps, step, increments):
+def _drive(state, solver, n_steps, step, increments, paths=None):
     """Apply `step` n_steps times from `state`, yielding (new state, points
     clipped to zero) after each; step(state, n, dw1, dw2) takes the noise
     increments(n) returns.  The per-step policy for every caller: a Newton
     failure gets the step index, nonneg_policy=project clips negative values
     to zero, and a non-finite state aborts the run.  A state holding a batch
-    of paths gets the same policy on every row."""
+    of paths gets the same policy on every row, and a failing row keeps its
+    index; `paths()`, if given, returns the global path index of each row
+    the step is given, and the error carries its row's as `path`."""
     project = solver.nonneg_policy == "project"
     for n in range(n_steps):
         dw1, dw2 = increments(n)
         try:
             new = step(state, n, dw1, dw2)
         except NewtonError as exc:
-            raise NewtonError(
-                f"step {n} (t={state.t:.6g}): {exc}",
+            path = None
+            if paths is not None and exc.row is not None:
+                path = int(paths()[exc.row])
+            where = "" if path is None else f"path {path}: "
+            err = NewtonError(
+                f"step {n} (t={state.t:.6g}): {where}{exc}",
                 exc.residual,
                 exc.iterations,
                 step_index=n,
-            ) from exc
+                row=exc.row,
+            )
+            err.path = path
+            raise err from exc
         clipped = 0
         if project:
             below_u = new.u < 0.0
@@ -539,14 +513,9 @@ def _path_increments(noise_path: Optional[NoisePath], solver: SolverConfig):
     )
 
 
-def _h_rates(u, v, cutoff) -> tuple[float, float]:
-    """Integrands |u|_{L^(g+1)}^(g+1) and |v|_{L^m}^(m0) of the budget h."""
-    g1 = cutoff.gamma + 1.0
-    return lp_norm(u, g1) ** g1, lp_norm(v, cutoff.m) ** cutoff.m0
-
-
 def _h_rate_rows(u, v, cutoff) -> tuple[list[float], list[float]]:
-    """_h_rates of each row of a batch of paths, bit for bit."""
+    """Integrands |u|_{L^(g+1)}^(g+1) and |v|_{L^m}^(m0) of the budget h for
+    each field of the stacks u, v (P,) + grid; powers on scalars."""
     g1 = cutoff.gamma + 1.0
     return ([x ** g1 for x in _lp_rows(u, g1)],
             [x ** cutoff.m0 for x in _lp_rows(v, cutoff.m)])
@@ -557,63 +526,84 @@ def _h_budget(sum_eta, sum_xi, dt: float, nu: float):
     return (dt * sum_eta) ** nu + (dt * sum_xi) ** nu
 
 
-def _h_column(rates, dt: float, nu: float) -> np.ndarray:
-    """h at every grid time by left-endpoint quadrature of `rates`; h(0) = 0.
-    np.cumsum adds left to right, as a running scalar sum does."""
-    sums = np.cumsum(np.array(rates, dtype=float).reshape(-1, 2), axis=0)
-    h = np.zeros(sums.shape[0] + 1)
-    h[1:] = _h_budget(sums[:, 0], sums[:, 1], dt, nu)
+def _h_column(rate_eta, rate_xi, dt: float, nu: float) -> np.ndarray:
+    """h at every grid time by left-endpoint quadrature of the rates, shaped
+    (n_steps,) or (n_steps, P); h(0) = 0.  np.cumsum adds left to right, as
+    a running scalar sum does."""
+    sums = np.cumsum(np.array([rate_eta, rate_xi], dtype=float), axis=1)
+    h = np.zeros((sums.shape[1] + 1,) + sums.shape[2:])
+    h[1:] = _h_budget(sums[0], sums[1], dt, nu)
     return h
 
 
-def _norm_row(basis, u, v, model, solver) -> tuple:
-    """One ledger row: Trajectory.NORM_COLUMNS without h."""
+def _norm_rows(basis, u, v, model, solver) -> tuple:
+    """Ledger columns Trajectory.NORM_COLUMNS without h, one entry per path
+    of the batch u, v (P,) + grid, each bit for bit its lone field's."""
+    flat_u = u.reshape(len(u), -1)
     return (
-        lp_norm(u, 2.0),
-        lp_norm(u, model.gamma + 1.0),
+        _lp_rows(flat_u, 2.0),
+        _lp_rows(flat_u, model.gamma + 1.0),
         sobolev_norm(basis, v, solver.record_rho),
-        u.min(),
-        v.min(),
+        flat_u.min(axis=1),
+        v.reshape(len(v), -1).min(axis=1),
     )
 
 
 def _record_run(basis, u0, v0, model, solver, step, increments, cutoff,
-                stride) -> Trajectory:
+                stride, paths=None, observe=None) -> Trajectory:
     """Drive `step` over solver.n_steps and record the norm ledger, the h
-    column (NaN without `cutoff`) and every stride-th state plus the last."""
+    column (NaN without `cutoff`) and every stride-th state plus the last.
+
+    Without `paths`, u0 and v0 are one path's fields, stepped as a batch of
+    one.  With `paths`, the global index of each row, they are a batch
+    (P,) + grid, recorded with a path axis after the time axis: norm columns
+    (n_records, P), snapshots (n_snapshots, P) + grid.  observe(n, u, v),
+    if given, sees the batch at every record n.
+    """
     u = np.array(u0, dtype=float)
     v = np.array(v0, dtype=float)
-    if u.shape != basis.grid_shape or v.shape != basis.grid_shape:
+    lone = paths is None
+    if lone:
+        u, v = u[None], v[None]
+    if u.shape[1:] != basis.grid_shape or v.shape != u.shape:
         raise ValueError(
-            f"initial fields {u.shape}/{v.shape} do not match grid "
+            f"initial fields {np.shape(u0)}/{np.shape(v0)} do not match grid "
             f"{basis.grid_shape}"
         )
     n_steps = solver.n_steps
-    state = CoupledState(u, v, 0.0)
-    rows = [_norm_row(basis, u, v, model, solver)]
-    rates = []
-    snap_idx = [0]
-    snapshots_u = [u.copy()]
-    snapshots_v = [v.copy()]
-    projected = 0
-    for n, (new, clipped) in enumerate(
-        _drive(state, solver, n_steps, step, increments)
-    ):
-        if cutoff is not None:
-            rates.append(_h_rates(state.u, state.v, cutoff))
-        state = new
-        projected += clipped
-        rows.append(_norm_row(basis, state.u, state.v, model, solver))
-        if (n + 1) % stride == 0 or n + 1 == n_steps:
-            snap_idx.append(n + 1)
-            snapshots_u.append(state.u.copy())
-            snapshots_v.append(state.v.copy())
+    rows, rates, snap_idx, snapshots_u, snapshots_v = [], [], [], [], []
 
-    columns = dict(zip(Trajectory.NORM_COLUMNS[:-1], np.array(rows).T))
-    columns["h"] = (
-        np.full(n_steps + 1, np.nan) if cutoff is None
-        else _h_column(rates, solver.dt, cutoff.nu)
-    )
+    def record(n, u, v):
+        rows.append(_norm_rows(basis, u, v, model, solver))
+        if cutoff is not None and n < n_steps:
+            rates.append(_h_rate_rows(u, v, cutoff))
+        if observe is not None:
+            observe(n, u, v)
+        if n % stride == 0 or n == n_steps:
+            snap_idx.append(n)
+            snapshots_u.append(u.copy())
+            snapshots_v.append(v.copy())
+
+    record(0, u, v)
+    projected = 0
+    for n, (state, clipped) in enumerate(_drive(
+        CoupledState(u, v, 0.0), solver, n_steps, step, increments,
+        None if lone else lambda: paths,
+    )):
+        projected += clipped
+        record(n + 1, state.u, state.v)
+
+    ledger = np.array(rows, dtype=float)  # (record, column, path)
+    columns = dict(zip(Trajectory.NORM_COLUMNS[:-1], ledger.transpose(1, 0, 2)))
+    if cutoff is None:
+        columns["h"] = np.full(ledger[:, 0].shape, np.nan)
+    else:
+        rates = np.array(rates, dtype=float).reshape(n_steps, 2, len(u))
+        columns["h"] = _h_column(rates[:, 0], rates[:, 1], solver.dt, cutoff.nu)
+    snapshots_u, snapshots_v = np.array(snapshots_u), np.array(snapshots_v)
+    if lone:
+        columns = {k: c[:, 0] for k, c in columns.items()}
+        snapshots_u, snapshots_v = snapshots_u[:, 0], snapshots_v[:, 0]
     times = np.arange(n_steps + 1) * solver.dt
     flags = {
         "completed": True,
@@ -626,8 +616,8 @@ def _record_run(basis, u0, v0, model, solver, step, increments, cutoff,
         times=times,
         norms=columns,
         snapshot_times=times[np.array(snap_idx, dtype=int)],
-        u_snapshots=np.array(snapshots_u),
-        v_snapshots=np.array(snapshots_v),
+        u_snapshots=snapshots_u,
+        v_snapshots=snapshots_v,
         flags=flags,
     )
 

@@ -9,6 +9,8 @@ the retained modes may not capture all grid content.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .basis import SpectralBasis, analyze, synthesize
@@ -34,6 +36,15 @@ def lp_norm(values: np.ndarray, p: float) -> float:
     return float(np.mean(np.abs(z) ** p) ** (1.0 / p))
 
 
+def _lp_rows(rows: np.ndarray, p: float) -> list[float]:
+    """lp_norm of each row of a stack (P, ...), bit for bit: a row's mean
+    reduces as a lone field's does, and each root is taken on a scalar as in
+    lp_norm (an array power rounds differently)."""
+    flat = rows.reshape(len(rows), math.prod(rows.shape[1:]))
+    means = (np.add.reduce(np.abs(flat) ** p, axis=-1) / flat.shape[-1]).tolist()
+    return [m ** (1.0 / p) for m in means]
+
+
 def inner_product(f: np.ndarray, g: np.ndarray) -> float:
     """Rectangle-rule L^2 inner product."""
     return float(np.mean(np.asarray(f) * np.asarray(g)))
@@ -45,12 +56,15 @@ def sobolev_norm(basis: SpectralBasis, values: np.ndarray, s: float) -> float:
     The (1 + nu_k) weight shifts the zero mode so that negative orders stay
     finite on fields with mean.  The field is first projected onto the
     retained band; use `projection_residual` to inspect what was dropped.
+    A stack of fields (P,) + grid gives an array of P norms, each bit for bit
+    the norm of its field alone.
     """
     if abs(s) > 2.0:
         raise ValueError(f"order s={s} outside the validated range [-2, 2]")
     coeffs = analyze(basis, values)
     weights = (1.0 + basis.eigenvalues) ** s
-    return float(np.sqrt(np.sum(weights * coeffs**2)))
+    norms = np.sqrt(np.sum(weights * coeffs**2, axis=-1))
+    return norms if norms.ndim else float(norms)
 
 
 def projection_residual(basis: SpectralBasis, values: np.ndarray) -> float:
@@ -78,14 +92,17 @@ def pm_inequality_gap(x, y, gamma: float):
     return gap if gap.ndim else float(gap)
 
 
-def gradient_squared(values: np.ndarray, boundary: str) -> np.ndarray:
-    """|grad f|^2 by centered differences (one-sided at Neumann boundaries)."""
+def gradient_squared(basis: SpectralBasis, values: np.ndarray) -> np.ndarray:
+    """|grad f|^2 by centered differences (one-sided at Neumann boundaries).
+
+    Only the basis.dimension grid axes, the trailing ones, are differenced,
+    so a stack of fields (P,) + grid gives each field's own |grad f|^2.
+    """
     f = np.asarray(values, dtype=float)
-    n = f.shape[0]
-    h = 1.0 / n
+    h = 1.0 / basis.grid_points
     total = np.zeros_like(f)
-    for axis in range(f.ndim):
-        if boundary == "periodic":
+    for axis in range(f.ndim - basis.dimension, f.ndim):
+        if basis.boundary == "periodic":
             df = (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * h)
         else:
             df = np.gradient(f, h, axis=axis)

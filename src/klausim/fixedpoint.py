@@ -27,7 +27,6 @@ from .basis import SpectralBasis
 from .dynamics import (
     CoupledState,
     ModelConfig,
-    NewtonError,
     SolverConfig,
     Trajectory,
     simulate_path,
@@ -37,7 +36,6 @@ from .dynamics import (
     _h_budget,
     _h_column,
     _h_rate_rows,
-    _h_rates,
     _mult_drifts,
     _path_increments,
     _record_run,
@@ -148,9 +146,8 @@ class FrozenPair:
 
     def h_values(self, params: CutoffParams) -> np.ndarray:
         """h at every grid time by left-endpoint quadrature; h(0) = 0."""
-        rates = [_h_rates(e, x, params)
-                 for e, x in zip(self.eta[:-1], self.xi[:-1])]
-        return _h_column(rates, self.dt, params.nu)
+        rates = _h_rate_rows(self.eta[:-1], self.xi[:-1], params)
+        return _h_column(*rates, self.dt, params.nu)
 
 
 def h_functional(pair: FrozenPair, t: float, params: CutoffParams) -> float:
@@ -201,10 +198,10 @@ def apply_V(
 def pair_distance(a: FrozenPair, b: FrozenPair, params: CutoffParams) -> float:
     """Discrete Bochner-norm distance used as the Picard residual:
     |du|_{L^(g+1)(0,T;L^(g+1))} + |dv|_{L^(m0)(0,T;L^m)}."""
-    rates = [_h_rates(e, x, params)
-             for e, x in zip(a.eta[:-1] - b.eta[:-1], a.xi[:-1] - b.xi[:-1])]
-    eta_part = a.dt * sum(r[0] for r in rates)
-    xi_part = a.dt * sum(r[1] for r in rates)
+    rate_eta, rate_xi = _h_rate_rows(a.eta[:-1] - b.eta[:-1],
+                                     a.xi[:-1] - b.xi[:-1], params)
+    eta_part = a.dt * sum(rate_eta)
+    xi_part = a.dt * sum(rate_xi)
     return eta_part ** (1.0 / (params.gamma + 1.0)) + xi_part ** (1.0 / params.m0)
 
 
@@ -483,18 +480,14 @@ def _exit_steps(scenario, levels: Sequence[float], n_paths: int):
 
     def step(state, n, dw1, dw2):
         rows = CoupledState(state.u[live], state.v[live], state.t)
-        try:
-            moved = step_coupled(basis, rows, model, solver, dw1, dw2,
-                                 drift1, drift2)
-        except NewtonError as exc:
-            raise NewtonError(f"path {live[exc.row]}: {exc}", exc.residual,
-                              exc.iterations) from exc
+        moved = step_coupled(basis, rows, model, solver, dw1, dw2,
+                             drift1, drift2)
         u, v = state.u.copy(), state.v.copy()
         u[live], v[live] = moved.u, moved.v
         return CoupledState(u, v, moved.t)
 
     for n, (new, _) in enumerate(_drive(state, solver, n_total, step,
-                                        increments)):
+                                        increments, lambda: live)):
         rate_eta, rate_xi = _h_rate_rows(state.u[live], state.v[live],
                                          sc.cutoff)
         sums[0, live] += rate_eta

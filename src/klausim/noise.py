@@ -142,8 +142,9 @@ def validate_noise(
 
 # per-step callers (`sample_increments` -> `mode_normals`) hit this cache for
 # both channels of the one path they step; `generate_path` and the path
-# batch of `fixedpoint.exit_prob_estimate` derive each key once per call or
-# rung and keep it, so they pass through it once per (channel, path, rung)
+# batches of `fixedpoint.exit_prob_estimate` and `diagnostics.ensemble_moments`
+# derive each key once per call or rung and keep it, so they pass through it
+# once per (channel, path, rung)
 @functools.lru_cache(maxsize=2)
 def _stream_key(seed: int, channel: int, path: int, rung: int) -> np.ndarray:
     """Read-only Philox key of the (seed, channel, path, rung) substream."""
@@ -212,14 +213,10 @@ def sample_increments(
     rung: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One pair of Wiener field increments (dW1, dW2) for a single step."""
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    out = []
-    for channel in (1, 2):
-        lam = spec.spectrum(basis, channel)
-        xi = mode_normals(spec, channel, step_index, basis.n_modes, path_index, rung)
-        out.append(synthesize(basis, lam * np.sqrt(dt) * xi))
-    return out[0], out[1]
+    keys = [[_stream_key(spec.seed, channel, path_index, rung)
+             for channel in (1, 2)]]
+    dw1, dw2 = _increment_rows(spec, basis, dt, keys, [step_index], _Normals())
+    return dw1[0], dw2[0]
 
 
 def _increment_rows(
@@ -227,17 +224,22 @@ def _increment_rows(
     basis: SpectralBasis,
     dt: float,
     keys: np.ndarray,
-    step_indices: np.ndarray,
+    step_indices,
     normals: _Normals,
+    stored: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Field increments (dW1, dW2) for a batch of paths, shaped (P,) + grid.
 
     Row p draws step step_indices[p] of its streams keys[p] = (channel-1
     key, channel-2 key) from `_stream_key`, and equals sample_increments at
-    that (path, rung, step) bit for bit.
+    that (path, rung, step) bit for bit.  With `stored` it rounds as a
+    stored path does instead, lam * (xi sqrt(dt)) rather than
+    (lam sqrt(dt)) xi: row p then equals NoisePath.field_increment of
+    generate_path's table for that (path, rung) bit for bit.
     """
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
+    root_dt = np.sqrt(dt)
     out = []
     for channel in (1, 2):
         lam = spec.spectrum(basis, channel)
@@ -245,7 +247,8 @@ def _increment_rows(
             normals.draw(key[channel - 1], step, basis.n_modes)
             for key, step in zip(keys, step_indices)
         ])
-        out.append(synthesize(basis, lam * np.sqrt(dt) * xi))
+        scaled = lam * (xi * root_dt) if stored else lam * root_dt * xi
+        out.append(synthesize(basis, scaled))
     return out[0], out[1]
 
 

@@ -286,7 +286,8 @@ def test_main_rejects_non_integer_env_seed(tmp_path, monkeypatch, capsys):
     assert SEED_ENV_VAR in err and "'abc'" in err
 
 
-def test_main_rejects_bad_config(tmp_path, capsys):
+def test_main_rejects_bad_config(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the failure lands in the default run.out
     bad = tmp_path / "bad.cfg"
     bad.write_text("[model]\ngama = 3\n")
     assert main(["simulate", "--config", str(bad)]) == 2
@@ -420,13 +421,13 @@ def test_unresolvable_modes_fail_by_key(tmp_path, modes):
     assert "grid.modes" in failure["details"]["error"]
 
 
-def _crash_worker(path_index):
+def _crash_worker(*args):
     os._exit(1)
 
 
 def test_ensemble_worker_crash_writes_failure(tmp_path, monkeypatch):
     # forked workers inherit the patched module
-    monkeypatch.setattr(diagnostics, "_worker_stats", _crash_worker)
+    monkeypatch.setattr(diagnostics, "_chunk_statistics", _crash_worker)
     cfg = make_cfg(**{"run.paths": "100", "grid.n": "16",
                       "solver.t_final": "0.004"})
     assert run("ensemble", cfg, tmp_path, workers=2) == 1
@@ -457,3 +458,60 @@ def test_bad_time_step_fails_by_key(tmp_path, dt):
     failure = _failure(out)
     assert failure["reason"] == "invalid configuration"
     assert "solver.dt" in failure["details"]["error"]
+
+
+@pytest.mark.parametrize("override, key", [
+    ("model.calculus=heun", "model.calculus"),
+    ("model.gamma=abc", "model.gamma"),
+    ("grid.nn=32", "'nn'"),
+])
+def test_config_read_error_writes_failure(tmp_path, override, key):
+    out = tmp_path / "out"
+    status = main(["simulate", "--out", str(out), "--override", override])
+    assert status == 2
+    failure = _failure(out)
+    assert failure["subcommand"] == "simulate"
+    assert failure["reason"] == "invalid configuration"
+    assert key in failure["details"]["error"]
+
+
+def test_config_read_error_without_out_uses_run_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--override", "model.calculus=heun"]) == 2
+    assert _failure(tmp_path / "runs" / "out")["reason"] == (
+        "invalid configuration")
+    # an override read before the bad one has moved run.out
+    assert main(["simulate", "--override", "run.out=elsewhere",
+                 "--override", "model.calculus=heun"]) == 2
+    assert "model.calculus" in _failure(tmp_path / "elsewhere")["details"]["error"]
+
+
+@pytest.mark.parametrize("key, value", [("run.paths", "-5"),
+                                        ("solver.snapshot_stride", "0")])
+def test_nonpositive_counts_fail_by_key(tmp_path, key, value):
+    out = tmp_path / "out"
+    status = main(["ensemble", "--out", str(out), "--override", f"{key}={value}"])
+    assert status == 2
+    failure = _failure(out)
+    assert failure["reason"] == "invalid configuration"
+    assert key in failure["details"]["error"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ensemble_newton_failure_names_its_path(tmp_path, workers):
+    """With this noise only path 51 stalls, at step 8, when each path runs
+    alone; the batched ensemble names it whichever chunk holds it."""
+    cfg = make_cfg(**{
+        "run.paths": "100", "grid.n": "16", "solver.nonneg_policy": "project",
+        "model.sigma1": "60", "model.sigma2": "60",
+        "noise.c1": "0.6", "noise.c2": "0.6",
+        "initial.u_base": "0.9", "initial.u_amp": "0.5",
+        "initial.v_base": "0.8", "initial.v_amp": "0.4",
+    })
+    with np.errstate(all="ignore"):
+        assert run("ensemble", cfg, tmp_path, workers=workers) == 1
+    failure = _failure(tmp_path)
+    assert failure["reason"] == "solver failure"
+    assert failure["details"]["path"] == 51
+    assert failure["details"]["step_index"] == 8
+    assert "path 51" in failure["details"]["error"]

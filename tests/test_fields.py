@@ -147,6 +147,23 @@ def test_gradient_squared_of_sine():
     n = 256
     x = np.arange(n) / n
     f = np.sin(2 * np.pi * x)
-    gsq = gradient_squared(f, "periodic")
+    gsq = gradient_squared(build_basis(1, "periodic", n, 1), f)
     exact = (2 * np.pi * np.cos(2 * np.pi * x)) ** 2
     assert np.max(np.abs(gsq - exact)) <= 0.05 * np.max(exact)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("boundary", ["periodic", "neumann"])
+def test_gradient_squared_batch_rows_equal_lone_calls(d, boundary):
+    """Only the grid axes are differenced: row p of a batch is the lone
+    field's |grad f|^2 bit for bit.  A d=1 batch of 16 rows is (16, 16),
+    the shape of one d=2 field, and still differences along rows only."""
+    basis = build_basis(d, boundary, 16, 8)
+    rng = np.random.default_rng(d)
+    batch = rng.normal(size=(16,) + basis.grid_shape)
+    rows = gradient_squared(basis, batch)
+    for p in range(len(batch)):
+        assert np.array_equal(rows[p], gradient_squared(basis, batch[p]))
+    if d == 1:
+        plane = gradient_squared(build_basis(2, boundary, 16, 8), batch)
+        assert not np.array_equal(rows, plane)
