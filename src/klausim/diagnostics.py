@@ -299,8 +299,8 @@ def _chunk_statistics(scenario, p: float, rho: float, m0: float,
         return step_coupled(basis, state, model, solver, dw1, dw2,
                             drift1, drift2)
 
-    # running sup |u|^(p+1), dissipation, coupling, smoothing sum
-    acc = np.zeros((4, len(indices)))
+    # the _STAT_NAMES rows; the smoothing sum before its power
+    acc = np.zeros((len(_STAT_NAMES), len(indices)))
 
     def observe(n, u, v):
         sup, diss, coup = _energy_rates(basis, u, v, p, model)
@@ -308,25 +308,22 @@ def _chunk_statistics(scenario, p: float, rho: float, m0: float,
         if n < n_steps:
             acc[1] += dt * diss
             acc[2] += dt * model.chi * coup
-            acc[3] += [dt * x ** 2
+            acc[4] += [dt * x ** 2
                        for x in sobolev_norm(basis, v, rho + 1.0).tolist()]
 
-    u0 = np.repeat(sc.u0[None], len(indices), axis=0)
-    v0 = np.repeat(sc.v0[None], len(indices), axis=0)
+    u0, v0 = (np.repeat(f[None], len(indices), axis=0) for f in (sc.u0, sc.v0))
     traj = _record_run(basis, u0, v0, model, solver, step, increments, None,
                        max(n_steps, 1), indices, observe)
-    sup_v = [max([0.0] + [x ** m0 for x in col])
-             for col in traj.norms["v_hrho"].T.tolist()]
-    # C order: the report's means add rows in order
-    stats = np.column_stack([acc[0], acc[1], acc[2], sup_v, acc[3]])
-    finite = np.isfinite(stats).all(axis=1)
-    if not finite.all():
+    acc[3] = [max([0.0] + [x ** m0 for x in col])
+              for col in traj.norms["v_hrho"].T.tolist()]
+    bad = ~np.isfinite(acc).all(axis=0)
+    if bad.any():
         raise FloatingPointError(
-            f"non-finite path statistic for path {indices[np.argmin(finite)]} "
+            f"non-finite path statistic for path {indices[bad][0]} "
             f"(seed {spec.seed})"
         )
-    stats[:, 4] = [x ** (m0 / 2.0) for x in acc[3].tolist()]
-    return stats
+    acc[4] = [x ** (m0 / 2.0) for x in acc[4].tolist()]
+    return acc.T.copy()  # C order: the report's means add rows in order
 
 
 def _ensemble_rows(scenario, p: float, indices, workers: int) -> np.ndarray:

@@ -278,9 +278,11 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
         rows = slice(None) if len(ids) == len(w) else ids  # a view if all
         deriv = gamma * np.abs(w[rows]) ** (gamma - 1.0) + 1e-12
         res_rows = res[rows]
+        delta = np.empty_like(deriv)
         try:
-            parts = [solve(deriv[lo:lo + block], res_rows[lo:lo + block])
-                     for lo in range(0, len(ids), block)]
+            for lo in range(0, len(ids), block):
+                delta[lo:lo + block] = solve(deriv[lo:lo + block],
+                                             res_rows[lo:lo + block])
         except np.linalg.LinAlgError:
             for j, row in enumerate(ids):  # name the first failing row
                 try:
@@ -289,7 +291,6 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
                     raise NewtonError(f"Newton system not solved: {exc}",
                                       res_norm[row], iteration, row=row) from exc
             raise
-        delta = parts[0] if len(parts) == 1 else np.concatenate(parts)
         # one alpha serves all rows still searching: each halved from 1
         alpha = 1.0
         search = ids

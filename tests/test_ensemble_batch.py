@@ -15,13 +15,12 @@ import numpy as np
 import pytest
 
 from klausim.basis import build_basis
-from klausim.diagnostics import _ensemble_rows, energy_monitor
+from klausim.diagnostics import HypothesisParams, _ensemble_rows, energy_monitor
 from klausim.dynamics import ModelConfig, SolverConfig, simulate_path
 from klausim.fields import gradient_squared, lp_norm, sobolev_norm
+from klausim.fixedpoint import CutoffParams
 from klausim.noise import NoiseSpec, generate_path
 from klausim.scenarios import Scenario, bump_field
-from klausim.diagnostics import HypothesisParams
-from klausim.fixedpoint import CutoffParams
 
 
 def serial_energy(traj, p, model, basis):
