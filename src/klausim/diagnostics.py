@@ -272,8 +272,9 @@ _STAT_NAMES = (
 
 
 def _chunk_statistics(scenario, p: float, rho: float, m0: float,
-                      indices) -> np.ndarray:
-    """The _STAT_NAMES of paths `indices`, one row each in that order.
+                      indices: np.ndarray) -> np.ndarray:
+    """The _STAT_NAMES of paths `indices` (an int array), one row each in
+    that order.
 
     The paths advance as one batch through the recorder; each draws the
     noise generate_path would give it, rounded as its stored path, so every
@@ -283,7 +284,6 @@ def _chunk_statistics(scenario, p: float, rho: float, m0: float,
     sc = scenario
     basis, model, spec = sc.basis, sc.model, sc.noise
     dt, n_steps = sc.solver.dt, sc.solver.n_steps
-    indices = np.asarray(indices, dtype=int)
     keys = np.array([[_stream_key(spec.seed, channel, int(i), 0)
                       for channel in (1, 2)] for i in indices])
     normals = _Normals()
