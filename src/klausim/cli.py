@@ -261,6 +261,10 @@ def build_scenario(cfg: RunConfig) -> Scenario:
             f"solver.dt={s['dt']!r} must be positive and at most "
             f"solver.t_final={s['t_final']!r}"
         )
+    n_steps = s["t_final"] / s["dt"]
+    if abs(n_steps - round(n_steps)) > 1e-9 * abs(n_steps):
+        raise ConfigError(f"solver.t_final={s['t_final']!r} is not a whole "
+                          f"number of solver.dt={s['dt']!r} steps")
     for key, value in (("run.paths", cfg.get("run", "paths")),
                        ("solver.snapshot_stride", s["snapshot_stride"])):
         if value < 1:

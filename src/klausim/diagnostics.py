@@ -28,7 +28,7 @@ from .dynamics import (
 )
 from .fields import _lp_rows, gradient_squared, lp_norm, sobolev_norm
 from .fixedpoint import FrozenPair, picard_solve
-from .noise import generate_path, _increment_rows, _Normals, _stream_key
+from .noise import generate_path, _increment_rows, _path_keys
 
 
 @dataclass(frozen=True)
@@ -277,23 +277,20 @@ def _chunk_statistics(scenario, p: float, rho: float, m0: float,
     that order.
 
     The paths advance as one batch through the recorder; each draws the
-    noise generate_path would give it, rounded as its stored path, so every
-    row equals the path run alone bit for bit.  The statistics stream: each
-    record adds its per-row rates, and no snapshot is kept.
+    noise field its stored path gives, so every row equals the path run
+    alone bit for bit.  The statistics stream: each record adds its per-row
+    rates, and no snapshot is kept.
     """
     sc = scenario
     basis, model, spec = sc.basis, sc.model, sc.noise
     dt, n_steps = sc.solver.dt, sc.solver.n_steps
-    keys = np.array([[_stream_key(spec.seed, channel, int(i), 0)
-                      for channel in (1, 2)] for i in indices])
-    normals = _Normals()
+    keys = _path_keys(spec, indices, [0] * len(indices))
     drift1, drift2 = _mult_drifts(basis, model, spec, None)
     # recorded at rho, the ledger's v_hrho column is |v|_{H^rho} per record
     solver = replace(sc.solver, record_rho=rho)
 
     def increments(n):
-        return _increment_rows(spec, basis, dt, keys, [n] * len(keys),
-                               normals, stored=True)
+        return _increment_rows(spec, basis, dt, keys, [n] * len(keys))
 
     def step(state, n, dw1, dw2):
         return step_coupled(basis, state, model, solver, dw1, dw2,

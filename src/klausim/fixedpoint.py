@@ -45,8 +45,7 @@ from .noise import (
     NoiseSpec,
     generate_path,
     _increment_rows,
-    _Normals,
-    _stream_key,
+    _path_keys,
 )
 
 
@@ -184,11 +183,11 @@ def apply_V(
         )
     increments = _path_increments(noise_path, solver)
     drift1, drift2 = _mult_drifts(basis, model, noise_path.spec, None)
-    h_in = pair.h_values(params)
+    phi = cutoff_phi(pair.h_values(params), kappa)
 
     def step(state, n, dw1, dw2):
         return step_frozen(
-            basis, state, pair.eta[n], pair.xi[n], cutoff_phi(h_in[n], kappa),
+            basis, state, pair.eta[n], pair.xi[n], phi[n],
             model, solver, dw1, dw2, drift1, drift2,
         )
 
@@ -463,20 +462,14 @@ def _exit_steps(scenario, levels: Sequence[float], n_paths: int):
     rung = np.zeros(n_paths, dtype=int)
     rung_start = np.zeros(n_paths, dtype=int)  # global step the rung began at
     sums = np.zeros((2, n_paths))  # running sums of the two h integrands
-
-    def rung_keys(paths):
-        return [[_stream_key(spec.seed, channel, int(i), int(rung[i]))
-                 for channel in (1, 2)] for i in paths]
-
-    keys = np.array(rung_keys(range(n_paths)))  # (path, channel, key word)
-    normals = _Normals()
+    keys = _path_keys(spec, range(n_paths), rung)
     live = np.arange(n_paths)
     state = CoupledState(np.repeat(sc.u0[None], n_paths, axis=0),
                          np.repeat(sc.v0[None], n_paths, axis=0), 0.0)
 
     def increments(n):
         return _increment_rows(spec, basis, solver.dt, keys[live],
-                               n - rung_start[live], normals)
+                               n - rung_start[live])
 
     def step(state, n, dw1, dw2):
         rows = CoupledState(state.u[live], state.v[live], state.t)
@@ -504,7 +497,7 @@ def _exit_steps(scenario, levels: Sequence[float], n_paths: int):
         rung_start[climb] = n + 1
         sums[:, climb] = 0.0
         if climb.size:
-            keys[climb] = rung_keys(climb)
+            keys[climb] = _path_keys(spec, climb, rung[climb])
         live = live[~np.isin(live, crossed[~climbs])]
         if live.size == 0:
             break

@@ -25,11 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import SpectralBasis, expand, synthesize
-from .fields import lp_norm
-
-# Philox counter blocks reserved per time step: step n starts at the 256-bit
-# counter n * 2^128, the little-endian words (0, 0, n mod 2^64, n >> 64)
-_STEP_STRIDE = 1 << 128
+from .fields import _lp_rows, lp_norm
 
 
 @dataclass(frozen=True)
@@ -140,11 +136,9 @@ def validate_noise(
     )
 
 
-# per-step callers (`sample_increments` -> `mode_normals`) hit this cache for
-# both channels of the one path they step; `generate_path` and the path
-# batches of `fixedpoint.exit_prob_estimate` and `diagnostics.ensemble_moments`
-# derive each key once per call or rung and keep it, so they pass through it
-# once per (channel, path, rung)
+# `generate_path` derives each key once per channel and `_path_keys` once
+# per (channel, path, rung) of a batch; the per-step callers
+# (`sample_increments`, `mode_normals`) hit this cache for the path they step
 @functools.lru_cache(maxsize=2)
 def _stream_key(seed: int, channel: int, path: int, rung: int) -> np.ndarray:
     """Read-only Philox key of the (seed, channel, path, rung) substream."""
@@ -154,39 +148,35 @@ def _stream_key(seed: int, channel: int, path: int, rung: int) -> np.ndarray:
     return key
 
 
-_SCRATCH_SEED = np.random.SeedSequence(0)
+def _path_keys(spec: NoiseSpec, paths, rungs) -> np.ndarray:
+    """Stream keys (P, channel, key word) of path paths[p] at rung rungs[p]."""
+    return np.array([[_stream_key(spec.seed, channel, int(i), int(r))
+                      for channel in (1, 2)] for i, r in zip(paths, rungs)])
 
 
-class _Normals:
-    """Standard normals of any (key, step) block of the Philox streams.
+# One Philox serves every draw.  Each draw sets its whole state (counter, key
+# and an empty output buffer), so it never depends on an earlier draw, and
+# gets the bits a fresh Philox(counter=..., key=...) would at a third of the
+# cost.  The package runs no threads; pool workers are processes, each with
+# its own copy.  The seed never shows; a ready SeedSequence spares the OS
+# entropy one Philox() would read.
+_PHILOX = np.random.Philox(np.random.SeedSequence(0))
+_GENERATOR = np.random.Generator(_PHILOX)
 
-    One Philox serves every draw: setting its whole state (counter, key and
-    an empty output buffer) gives the bits a fresh Philox(counter=...,
-    key=...) would, at a third of the cost.  Callers that draw many blocks
-    keep one instance for all of them.
-    """
 
-    def __init__(self):
-        # every draw overwrites the whole state, so the seed never shows;
-        # a ready SeedSequence spares the OS-entropy one Philox() would make
-        self._philox = np.random.Philox(_SCRATCH_SEED)
-        self._generator = np.random.Generator(self._philox)
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0,
-        }
-
-    def draw(self, key: np.ndarray, step_index: int, n: int) -> np.ndarray:
-        """n normals from block step_index * _STEP_STRIDE of stream `key`."""
-        step = int(step_index)
-        stream = self._state["state"]
-        stream["counter"][2] = step & 0xFFFFFFFFFFFFFFFF
-        stream["counter"][3] = step >> 64
-        stream["key"] = key
-        self._philox.state = self._state
-        return self._generator.standard_normal(n)
+def _normals(key: np.ndarray, step_index: int, n: int) -> np.ndarray:
+    """n standard normals of stream `key` at a step: the Philox block at the
+    256-bit counter step_index * 2^128, whose little-endian words are
+    (0, 0, step_index mod 2^64, step_index >> 64)."""
+    step = int(step_index)
+    _PHILOX.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, step & 0xFFFFFFFFFFFFFFFF, step >> 64),
+                  "key": key},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return _GENERATOR.standard_normal(n)
 
 
 def mode_normals(
@@ -200,8 +190,8 @@ def mode_normals(
     """Standard normals xi_k for (channel, step); slot k is a pure function
     of (seed, channel, k, step, path, rung) regardless of how many modes are
     requested."""
-    key = _stream_key(spec.seed, channel, path_index, rung)
-    return _Normals().draw(key, step_index, n_modes)
+    return _normals(_stream_key(spec.seed, channel, path_index, rung),
+                    step_index, n_modes)
 
 
 def sample_increments(
@@ -213,9 +203,8 @@ def sample_increments(
     rung: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One pair of Wiener field increments (dW1, dW2) for a single step."""
-    keys = [[_stream_key(spec.seed, channel, path_index, rung)
-             for channel in (1, 2)]]
-    dw1, dw2 = _increment_rows(spec, basis, dt, keys, [step_index], _Normals())
+    keys = _path_keys(spec, [path_index], [rung])
+    dw1, dw2 = _increment_rows(spec, basis, dt, keys, [step_index])
     return dw1[0], dw2[0]
 
 
@@ -225,30 +214,23 @@ def _increment_rows(
     dt: float,
     keys: np.ndarray,
     step_indices,
-    normals: _Normals,
-    stored: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Field increments (dW1, dW2) for a batch of paths, shaped (P,) + grid.
 
-    Row p draws step step_indices[p] of its streams keys[p] = (channel-1
-    key, channel-2 key) from `_stream_key`, and equals sample_increments at
-    that (path, rung, step) bit for bit.  With `stored` it rounds as a
-    stored path does instead, lam * (xi sqrt(dt)) rather than
-    (lam sqrt(dt)) xi: row p then equals NoisePath.field_increment of
-    generate_path's table for that (path, rung) bit for bit.
+    Row p draws step step_indices[p] of its streams keys[p] from
+    `_path_keys`, and rounds lam * (xi sqrt(dt)) as a stored path does: it
+    equals NoisePath.field_increment of generate_path's table for that
+    (path, rung, step) bit for bit, at any dt.
     """
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
     root_dt = np.sqrt(dt)
     out = []
     for channel in (1, 2):
-        lam = spec.spectrum(basis, channel)
-        xi = np.array([
-            normals.draw(key[channel - 1], step, basis.n_modes)
-            for key, step in zip(keys, step_indices)
-        ])
-        scaled = lam * (xi * root_dt) if stored else lam * root_dt * xi
-        out.append(synthesize(basis, scaled))
+        xi = np.array([_normals(key[channel - 1], step, basis.n_modes)
+                       for key, step in zip(keys, step_indices)])
+        out.append(synthesize(basis,
+                              spec.spectrum(basis, channel) * (xi * root_dt)))
     return out[0], out[1]
 
 
@@ -307,11 +289,10 @@ def generate_path(
         raise ValueError(f"time step must be positive, got {dt}")
     inc = np.empty((2, n_steps, basis.n_modes))
     root_dt = np.sqrt(dt)
-    normals = _Normals()
     for channel in (1, 2):
         key = _stream_key(spec.seed, channel, path_index, rung)
         for n in range(n_steps):
-            inc[channel - 1, n] = normals.draw(key, n, basis.n_modes) * root_dt
+            inc[channel - 1, n] = _normals(key, n, basis.n_modes) * root_dt
     return NoisePath(
         basis=basis,
         spec=spec,
@@ -401,17 +382,16 @@ def bdg_selfcheck(
         xi = np.ones(basis.grid_shape)
     dt = t_final / n_steps
     denom = (t_final * lp_norm(xi, 2.0) ** 2) ** (p / 2.0)
-    sup_p = np.empty(n_paths)
-    end_sq = np.empty(n_paths)
-    for i in range(n_paths):
-        path = generate_path(spec, basis, dt, n_steps, path_index=i)
-        y = np.zeros(basis.grid_shape)
-        sup_norm = 0.0
-        for n in range(n_steps):
-            y = y + xi * path.field_increment(channel, n)
-            sup_norm = max(sup_norm, lp_norm(y, 2.0))
-        sup_p[i] = sup_norm**p
-        end_sq[i] = lp_norm(y, 2.0) ** 2
+    keys = _path_keys(spec, range(n_paths), [0] * n_paths)
+    y = np.zeros((n_paths,) + basis.grid_shape)
+    sup_norm = [0.0] * n_paths
+    for n in range(n_steps):
+        dw = _increment_rows(spec, basis, dt, keys, [n] * n_paths)
+        y = y + xi * dw[channel - 1]
+        sup_norm = [max(s, r) for s, r in zip(sup_norm, _lp_rows(y, 2.0))]
+    # powers on scalars, as each path alone would take them
+    sup_p = np.array([s**p for s in sup_norm])
+    end_sq = np.array([r**2 for r in _lp_rows(y, 2.0)])
     degenerate = denom == 0.0
     ratio = float("nan") if degenerate else float(np.mean(sup_p) / denom)
     return BdgReport(

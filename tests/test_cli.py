@@ -460,6 +460,24 @@ def test_bad_time_step_fails_by_key(tmp_path, dt):
     assert "solver.dt" in failure["details"]["error"]
 
 
+def test_fractional_step_count_fails_by_key(tmp_path):
+    """t_final = 0.0051 is 2.55 steps of 0.002; the run would end at 0.006."""
+    out = tmp_path / "out"
+    status = main(["simulate", "--out", str(out),
+                   "--override", "solver.dt=0.002",
+                   "--override", "solver.t_final=0.0051"])
+    assert status == 2
+    failure = _failure(out)
+    assert failure["reason"] == "invalid configuration"
+    assert "solver.t_final" in failure["details"]["error"]
+    # a whole number of steps, up to rounding (0.07 / 0.01 is
+    # 7.000000000000001), and no steps at all still run
+    for dt, t_final in (("0.002", "0.006"), ("0.01", "0.07"), ("0.002", "0")):
+        assert main(["simulate", "--out", str(tmp_path / t_final),
+                     "--override", "grid.n=16", "--override", f"solver.dt={dt}",
+                     "--override", f"solver.t_final={t_final}"]) == 0
+
+
 @pytest.mark.parametrize("override, key", [
     ("model.calculus=heun", "model.calculus"),
     ("model.gamma=abc", "model.gamma"),

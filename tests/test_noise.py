@@ -6,6 +6,7 @@ import pytest
 from klausim.basis import build_basis
 from klausim.fields import lp_norm
 from klausim.noise import (
+    BdgReport,
     NoiseSpec,
     _stream_key,
     bdg_selfcheck,
@@ -209,13 +210,61 @@ def test_bdg_rejects_bad_arguments(basis):
         bdg_selfcheck(spec, basis, p=2.0, n_paths=10)
 
 
-def test_sample_increments_equal_generate_path_rows():
+def _serial_bdg(spec, basis, p, n_paths, channel=1, xi=None, t_final=1.0,
+                n_steps=16):
+    """bdg_selfcheck as it ran before its paths were batched: one stored
+    path, one field_increment and one lp_norm per path and step."""
+    if xi is None:
+        xi = np.ones(basis.grid_shape)
+    dt = t_final / n_steps
+    denom = (t_final * lp_norm(xi, 2.0) ** 2) ** (p / 2.0)
+    sup_p = np.empty(n_paths)
+    end_sq = np.empty(n_paths)
+    for i in range(n_paths):
+        path = generate_path(spec, basis, dt, n_steps, path_index=i)
+        y = np.zeros(basis.grid_shape)
+        sup_norm = 0.0
+        for n in range(n_steps):
+            y = y + xi * path.field_increment(channel, n)
+            sup_norm = max(sup_norm, lp_norm(y, 2.0))
+        sup_p[i] = sup_norm**p
+        end_sq[i] = lp_norm(y, 2.0) ** 2
+    degenerate = denom == 0.0
+    return BdgReport(
+        p=p,
+        n_paths=n_paths,
+        ratio=float("nan") if degenerate else float(np.mean(sup_p) / denom),
+        sup_moment=float(np.mean(sup_p)),
+        denominator=denom,
+        isometry_estimate=float(np.mean(end_sq)),
+        isometry_expected=t_final * spec.trace(basis, channel),
+        isometry_stderr=float(np.std(end_sq, ddof=1) / np.sqrt(n_paths)),
+        degenerate=degenerate,
+    )
+
+
+def test_bdg_batch_equals_serial_oracle():
+    """The batched check reports what the per-path loop did, field for field:
+    at criterion 04's setting, and on channel 2 with a varying integrand."""
+    basis = build_basis(1, "periodic", 64, 63)
+    spec = NoiseSpec(delta1=1.0, delta2=1.0, c1=0.1, c2=0.1, seed=404)
+    args = dict(p=2.0, n_paths=20_000, n_steps=1)
+    assert bdg_selfcheck(spec, basis, **args) == _serial_bdg(spec, basis, **args)
+    spec = NoiseSpec(delta2=0.8, c2=0.3, seed=12)
+    args = dict(p=3.0, n_paths=1000, channel=2, n_steps=9, t_final=0.7,
+                xi=1.0 + 0.5 * np.sin(2 * np.pi * basis.axis_coordinates()))
+    assert bdg_selfcheck(spec, basis, **args) == _serial_bdg(spec, basis, **args)
+
+
+@pytest.mark.parametrize("dt", [0.25, 0.002])
+def test_sample_increments_equal_generate_path_rows(dt):
     """The per-step draw and the whole-path draw give the same fields bit for
-    bit (dt = 1/4: scaling by sqrt(dt) = 1/2 is exact in either order), also
-    when paths and rungs are visited out of order."""
+    bit, also when paths and rungs are visited out of order.  At dt = 0.002
+    sqrt(dt) is inexact, so this holds only because both round
+    lam * (xi sqrt(dt)) alike."""
     basis = build_basis(1, "periodic", 16, 15)
     spec = NoiseSpec(seed=9, c1=0.3, c2=0.2)
-    dt, n_steps = 0.25, 4
+    n_steps = 4
     paths = {(p, r): generate_path(spec, basis, dt, n_steps, path_index=p,
                                    rung=r)
              for p, r in ((0, 0), (1, 0), (1, 1))}
