@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
@@ -20,11 +20,12 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .dynamics import (
+    CoupledState,
     ModelConfig,
     Trajectory,
     step_coupled,
+    _drive,
     _mult_drifts,
-    _record_run,
 )
 from .fields import _lp_rows, gradient_squared, lp_norm, sobolev_norm
 from .fixedpoint import FrozenPair, picard_solve
@@ -276,18 +277,16 @@ def _chunk_statistics(scenario, p: float, rho: float, m0: float,
     """The _STAT_NAMES of paths `indices` (an int array), one row each in
     that order.
 
-    The paths advance as one batch through the recorder; each draws the
+    The paths advance as one batch through the time driver; each draws the
     noise field its stored path gives, so every row equals the path run
     alone bit for bit.  The statistics stream: each record adds its per-row
     rates, and no snapshot is kept.
     """
     sc = scenario
-    basis, model, spec = sc.basis, sc.model, sc.noise
-    dt, n_steps = sc.solver.dt, sc.solver.n_steps
+    basis, model, solver, spec = sc.basis, sc.model, sc.solver, sc.noise
+    dt, n_steps = solver.dt, solver.n_steps
     keys = _path_keys(spec, indices, [0] * len(indices))
     drift1, drift2 = _mult_drifts(basis, model, spec, None)
-    # recorded at rho, the ledger's v_hrho column is |v|_{H^rho} per record
-    solver = replace(sc.solver, record_rho=rho)
 
     def increments(n):
         return _increment_rows(spec, basis, dt, keys, [n] * len(keys))
@@ -299,9 +298,11 @@ def _chunk_statistics(scenario, p: float, rho: float, m0: float,
     # the _STAT_NAMES rows; the smoothing sum before its power
     acc = np.zeros((len(_STAT_NAMES), len(indices)))
 
-    def observe(n, u, v):
+    def record(n, u, v):
         sup, diss, coup = _energy_rates(basis, u, v, p, model)
         np.maximum(acc[0], sup, out=acc[0])
+        np.maximum(acc[3], [x ** m0 for x in
+                            sobolev_norm(basis, v, rho).tolist()], out=acc[3])
         if n < n_steps:
             acc[1] += dt * diss
             acc[2] += dt * model.chi * coup
@@ -309,10 +310,11 @@ def _chunk_statistics(scenario, p: float, rho: float, m0: float,
                        for x in sobolev_norm(basis, v, rho + 1.0).tolist()]
 
     u0, v0 = (np.repeat(f[None], len(indices), axis=0) for f in (sc.u0, sc.v0))
-    traj = _record_run(basis, u0, v0, model, solver, step, increments, None,
-                       max(n_steps, 1), indices, observe)
-    acc[3] = [max([0.0] + [x ** m0 for x in col])
-              for col in traj.norms["v_hrho"].T.tolist()]
+    record(0, u0, v0)
+    for n, (state, _) in enumerate(_drive(CoupledState(u0, v0, 0.0), solver,
+                                          n_steps, step, increments,
+                                          lambda: indices)):
+        record(n + 1, state.u, state.v)
     bad = ~np.isfinite(acc).all(axis=0)
     if bad.any():
         raise FloatingPointError(

@@ -14,16 +14,16 @@ extension dynamics, which also drop k, f, g and give v unit extra decay.
 One time driver repeats a step with noise increments from a per-step
 source (a stored path, or Philox draws per step) and applies the per-step
 policy: step index and failing path on Newton failures,
-nonneg_policy=project, the finiteness check.  Direct runs, the frozen
-sweeps of the Picard iteration, the moment ensemble and the exit-time
-sampler all consume its states; all but the last record the norm ledger
-and the budget h through one recorder.
+nonneg_policy=project, the finiteness check.  Direct runs and the frozen
+sweeps of the Picard iteration record one path's norm ledger, budget h and
+snapshots through one recorder; the moment ensemble and the exit-time
+sampler step batches and stream their statistics from its states.
 
-The Newton driver, the row norms and the recorder compute on one shape, a
-batch of paths (P,) + grid; a lone field is a batch of one.  Every row
-advances exactly as it would alone, bit for bit: each path runs its own
-Newton iteration and line search, and each norm reduces its row as a lone
-field's and takes its roots and powers on scalars.
+The Newton driver and the row norms compute on one shape, a batch of paths
+(P,) + grid; a lone field is a batch of one.  Every row advances exactly as
+it would alone, bit for bit: each path runs its own Newton iteration and
+line search, and each norm reduces its row as a lone field's and takes its
+roots and powers on scalars.
 """
 
 from __future__ import annotations
@@ -528,11 +528,10 @@ def _h_budget(sum_eta, sum_xi, dt: float, nu: float):
 
 
 def _h_column(rate_eta, rate_xi, dt: float, nu: float) -> np.ndarray:
-    """h at every grid time by left-endpoint quadrature of the rates, shaped
-    (n_steps,) or (n_steps, P); h(0) = 0.  np.cumsum adds left to right, as
-    a running scalar sum does."""
+    """h at every grid time by left-endpoint quadrature of the rates; h(0) =
+    0.  np.cumsum adds left to right, as a running scalar sum does."""
     sums = np.cumsum(np.array([rate_eta, rate_xi], dtype=float), axis=1)
-    h = np.zeros((sums.shape[1] + 1,) + sums.shape[2:])
+    h = np.zeros(sums.shape[1] + 1)
     h[1:] = _h_budget(sums[0], sums[1], dt, nu)
     return h
 
@@ -551,21 +550,12 @@ def _norm_rows(basis, u, v, model, solver) -> tuple:
 
 
 def _record_run(basis, u0, v0, model, solver, step, increments, cutoff,
-                stride, paths=None, observe=None) -> Trajectory:
-    """Drive `step` over solver.n_steps and record the norm ledger, the h
-    column (NaN without `cutoff`) and every stride-th state plus the last.
-
-    Without `paths`, u0 and v0 are one path's fields, stepped as a batch of
-    one.  With `paths`, the global index of each row, they are a batch
-    (P,) + grid, recorded with a path axis after the time axis: norm columns
-    (n_records, P), snapshots (n_snapshots, P) + grid.  observe(n, u, v),
-    if given, sees the batch at every record n.
-    """
-    u = np.array(u0, dtype=float)
-    v = np.array(v0, dtype=float)
-    lone = paths is None
-    if lone:
-        u, v = u[None], v[None]
+                stride) -> Trajectory:
+    """Drive `step` over solver.n_steps from one path's fields u0, v0,
+    stepped as a batch of one, and record the norm ledger, the h column
+    (NaN without `cutoff`) and every stride-th state plus the last."""
+    u = np.array(u0, dtype=float)[None]
+    v = np.array(v0, dtype=float)[None]
     if u.shape[1:] != basis.grid_shape or v.shape != u.shape:
         raise ValueError(
             f"initial fields {np.shape(u0)}/{np.shape(v0)} do not match grid "
@@ -578,33 +568,26 @@ def _record_run(basis, u0, v0, model, solver, step, increments, cutoff,
         rows.append(_norm_rows(basis, u, v, model, solver))
         if cutoff is not None and n < n_steps:
             rates.append(_h_rate_rows(u, v, cutoff))
-        if observe is not None:
-            observe(n, u, v)
         if n % stride == 0 or n == n_steps:
             snap_idx.append(n)
-            snapshots_u.append(u.copy())
-            snapshots_v.append(v.copy())
+            snapshots_u.append(u[0].copy())
+            snapshots_v.append(v[0].copy())
 
     record(0, u, v)
     projected = 0
     for n, (state, clipped) in enumerate(_drive(
-        CoupledState(u, v, 0.0), solver, n_steps, step, increments,
-        None if lone else lambda: paths,
+        CoupledState(u, v, 0.0), solver, n_steps, step, increments
     )):
         projected += clipped
         record(n + 1, state.u, state.v)
 
-    ledger = np.array(rows, dtype=float)  # (record, column, path)
-    columns = dict(zip(Trajectory.NORM_COLUMNS[:-1], ledger.transpose(1, 0, 2)))
+    ledger = np.array(rows, dtype=float)[:, :, 0]  # (record, column)
+    columns = dict(zip(Trajectory.NORM_COLUMNS[:-1], ledger.T))
     if cutoff is None:
-        columns["h"] = np.full(ledger[:, 0].shape, np.nan)
+        columns["h"] = np.full(n_steps + 1, np.nan)
     else:
-        rates = np.array(rates, dtype=float).reshape(n_steps, 2, len(u))
+        rates = np.array(rates, dtype=float).reshape(n_steps, 2)
         columns["h"] = _h_column(rates[:, 0], rates[:, 1], solver.dt, cutoff.nu)
-    snapshots_u, snapshots_v = np.array(snapshots_u), np.array(snapshots_v)
-    if lone:
-        columns = {k: c[:, 0] for k, c in columns.items()}
-        snapshots_u, snapshots_v = snapshots_u[:, 0], snapshots_v[:, 0]
     times = np.arange(n_steps + 1) * solver.dt
     flags = {
         "completed": True,
@@ -617,8 +600,8 @@ def _record_run(basis, u0, v0, model, solver, step, increments, cutoff,
         times=times,
         norms=columns,
         snapshot_times=times[np.array(snap_idx, dtype=int)],
-        u_snapshots=snapshots_u,
-        v_snapshots=snapshots_v,
+        u_snapshots=np.array(snapshots_u),
+        v_snapshots=np.array(snapshots_v),
         flags=flags,
     )
 
