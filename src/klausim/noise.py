@@ -148,10 +148,11 @@ def _stream_key(seed: int, channel: int, path: int, rung: int) -> np.ndarray:
     return key
 
 
-def _path_keys(spec: NoiseSpec, paths, rungs) -> np.ndarray:
-    """Stream keys (P, channel, key word) of path paths[p] at rung rungs[p]."""
+def _path_keys(spec: NoiseSpec, paths, rungs, channels=(1, 2)) -> np.ndarray:
+    """Stream keys (P, channel, key word) of path paths[p] at rung rungs[p],
+    one for each of `channels`."""
     return np.array([[_stream_key(spec.seed, channel, int(i), int(r))
-                      for channel in (1, 2)] for i, r in zip(paths, rungs)])
+                      for channel in channels] for i, r in zip(paths, rungs)])
 
 
 # One Philox serves every draw.  Each draw sets its whole state (counter, key
@@ -214,24 +215,26 @@ def _increment_rows(
     dt: float,
     keys: np.ndarray,
     step_indices,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Field increments (dW1, dW2) for a batch of paths, shaped (P,) + grid.
+    channels=(1, 2),
+) -> tuple[np.ndarray, ...]:
+    """Field increments (dW1, dW2), or those of `channels`, for a batch of
+    paths, each shaped (P,) + grid.
 
     Row p draws step step_indices[p] of its streams keys[p] from
-    `_path_keys`, and rounds lam * (xi sqrt(dt)) as a stored path does: it
-    equals NoisePath.field_increment of generate_path's table for that
-    (path, rung, step) bit for bit, at any dt.
+    `_path_keys` for the same channels, and rounds lam * (xi sqrt(dt)) as a
+    stored path does: it equals NoisePath.field_increment of generate_path's
+    table for that (path, rung, step) bit for bit, at any dt.
     """
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
     root_dt = np.sqrt(dt)
     out = []
-    for channel in (1, 2):
-        xi = np.array([_normals(key[channel - 1], step, basis.n_modes)
+    for j, channel in enumerate(channels):
+        xi = np.array([_normals(key[j], step, basis.n_modes)
                        for key, step in zip(keys, step_indices)])
         out.append(synthesize(basis,
                               spec.spectrum(basis, channel) * (xi * root_dt)))
-    return out[0], out[1]
+    return tuple(out)
 
 
 @dataclass
@@ -382,12 +385,13 @@ def bdg_selfcheck(
         xi = np.ones(basis.grid_shape)
     dt = t_final / n_steps
     denom = (t_final * lp_norm(xi, 2.0) ** 2) ** (p / 2.0)
-    keys = _path_keys(spec, range(n_paths), [0] * n_paths)
+    keys = _path_keys(spec, range(n_paths), [0] * n_paths, (channel,))
     y = np.zeros((n_paths,) + basis.grid_shape)
     sup_norm = [0.0] * n_paths
     for n in range(n_steps):
-        dw = _increment_rows(spec, basis, dt, keys, [n] * n_paths)
-        y = y + xi * dw[channel - 1]
+        (dw,) = _increment_rows(spec, basis, dt, keys, [n] * n_paths,
+                                (channel,))
+        y = y + xi * dw
         sup_norm = [max(s, r) for s, r in zip(sup_norm, _lp_rows(y, 2.0))]
     # powers on scalars, as each path alone would take them
     sup_p = np.array([s**p for s in sup_norm])
