@@ -235,6 +235,8 @@ def _kappa_ladder(cfg: RunConfig) -> list[float]:
 def build_scenario(cfg: RunConfig) -> Scenario:
     _kappa_ladder(cfg)
     g = cfg.values["grid"]
+    if g["n"] < 8 or g["n"] & (g["n"] - 1):
+        raise ConfigError(f"grid.n={g['n']} must be a power of two, at least 8")
     resolvable = resolvable_modes(g["d"], g["boundary"], g["n"])
     n_modes = g["modes"] or resolvable
     if not 0 < n_modes <= resolvable:
@@ -265,8 +267,12 @@ def build_scenario(cfg: RunConfig) -> Scenario:
     if abs(n_steps - round(n_steps)) > 1e-9 * abs(n_steps):
         raise ConfigError(f"solver.t_final={s['t_final']!r} is not a whole "
                           f"number of solver.dt={s['dt']!r} steps")
+    if not s["newton_tol"] > 0.0:
+        raise ConfigError(f"solver.newton_tol={s['newton_tol']!r} must be "
+                          f"positive")
     for key, value in (("run.paths", cfg.get("run", "paths")),
-                       ("solver.snapshot_stride", s["snapshot_stride"])):
+                       ("solver.snapshot_stride", s["snapshot_stride"]),
+                       ("solver.newton_max_iter", s["newton_max_iter"])):
         if value < 1:
             raise ConfigError(f"{key}={value} must be at least 1")
     solver = SolverConfig(

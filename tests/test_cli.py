@@ -515,6 +515,22 @@ def test_nonpositive_counts_fail_by_key(tmp_path, key, value):
     assert key in failure["details"]["error"]
 
 
+@pytest.mark.parametrize("override, key", [
+    ("grid.n=48", "grid.n"),  # not a power of two
+    ("grid.n=4", "grid.n"),  # too coarse
+    ("solver.newton_tol=0", "solver.newton_tol"),
+    ("solver.newton_tol=nan", "solver.newton_tol"),
+    ("solver.newton_max_iter=0", "solver.newton_max_iter"),
+])
+def test_bad_grid_and_newton_controls_fail_by_key(tmp_path, override, key):
+    out = tmp_path / "out"
+    status = main(["simulate", "--out", str(out), "--override", override])
+    assert status == 2
+    failure = _failure(out)
+    assert failure["reason"] == "invalid configuration"
+    assert key in failure["details"]["error"]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ensemble_newton_failure_names_its_path(tmp_path, workers):
     """With this noise only path 51 stalls, at step 8, when each path runs
