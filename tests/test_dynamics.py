@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import fsolve
 
+from klausim import dynamics
 from klausim.basis import analyze, apply_laplacian, build_basis, synthesize
 from klausim.dynamics import (
     CoupledState,
@@ -423,3 +424,61 @@ def test_newton_failure_carries_step_index(per64):
     with pytest.raises(NewtonError) as err:
         simulate_path(per64, u0, np.zeros(64), model, solver, None)
     assert err.value.step_index is not None
+
+
+def _rough_batch(basis, rows, seed):
+    """Positive rough fields of spread amplitudes, a source and noise."""
+    rng = np.random.default_rng(seed)
+    shape = (rows,) + basis.grid_shape
+    amp = np.geomspace(0.05, 6.0, rows).reshape((rows,) + (1,) * basis.dimension)
+    u = amp * (1.0 + 0.8 * rng.standard_normal(shape) ** 2)
+    return u, rng.standard_normal(shape), 0.03 * rng.standard_normal(shape)
+
+
+def test_lu_stack_blocks_give_one_block_bits(per64, monkeypatch):
+    """A batch split over several LU stacks steps as it does in one."""
+    model = ModelConfig(r_u=1.0, gamma=3.0, sigma1=0.4)
+    solver = make_solver(dt=4e-3)
+    u, source, dw1 = _rough_batch(per64, 100, seed=3)
+    stacks = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        stacks.append(len(a) if a.ndim == 3 else 1)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    one = pm_implicit_step(per64, u, source, dw1, model, solver, solver.dt)
+    assert stacks[0] == 100  # the whole first Newton iteration in one stack
+    stacks.clear()
+    # 32 Jacobians of 64 x 64 doubles a stack: 4 stacks for 100 rows
+    monkeypatch.setattr(dynamics, "_LU_STACK_BYTES", 32 * 8 * 64 * 64)
+    split = pm_implicit_step(per64, u, source, dw1, model, solver, solver.dt)
+    assert stacks[:4] == [32, 32, 32, 4] and max(stacks) == 32
+    assert np.array_equal(split, one)
+
+
+def test_unsolved_newton_system_names_its_row(monkeypatch):
+    """The retry after a failed stack names the row whose system failed,
+    with its residual, on the GMRES path of a d=2 batch."""
+    basis = build_basis(2, "neumann", 32, 120)
+    assert basis.grid_size > dynamics._DENSE_LIMIT
+    model = ModelConfig(r_u=1.0, gamma=3.0, sigma1=0.4)
+    solver = make_solver(dt=4e-3)
+    u, source, dw1 = _rough_batch(basis, 3, seed=5)
+    seen = []
+    gmres = dynamics.gmres
+
+    def flaky(jac, b, **kw):
+        seen.append(b.copy())
+        if len(seen) > 1 and np.array_equal(b, seen[1]):  # row 1's system
+            return np.zeros_like(b), 7
+        return gmres(jac, b, **kw)
+
+    monkeypatch.setattr(dynamics, "gmres", flaky)
+    with pytest.raises(NewtonError) as err:
+        pm_implicit_step(basis, u, source, dw1, model, solver, solver.dt)
+    assert err.value.row == 1
+    assert err.value.iterations == 0
+    assert "info=7" in str(err.value)
+    assert err.value.residual == lp_norm(seen[1], 2.0)
