@@ -269,7 +269,7 @@ def build_scenario(cfg: RunConfig) -> Scenario:
                           f"number of solver.dt={s['dt']!r} steps")
     if not s["newton_tol"] > 0.0:
         raise ConfigError(f"solver.newton_tol={s['newton_tol']!r} must be "
-                          f"positive")
+                          "positive")
     for key, value in (("run.paths", cfg.get("run", "paths")),
                        ("solver.snapshot_stride", s["snapshot_stride"]),
                        ("solver.newton_max_iter", s["newton_max_iter"])):
