@@ -1,8 +1,9 @@
 """Configuration ingestion and run orchestration.
 
-Configs are INI-style text with nested sections; every key is schema-checked
-(unknown keys are rejected, not ignored) and defaults are filled in, so the
-emitted echo of a parsed config documents the complete run.  Seed precedence
+Configs are INI-style text with nested sections; every value is checked
+against its key's domain in the schema as it is read (unknown keys are
+rejected, not ignored) and defaults are filled in, so the emitted echo of a
+parsed config documents the complete run.  Seed precedence
 is flag > config > KLAUSIM_SEED environment variable > 0, and both the seed
 and its source are recorded in every output header.
 
@@ -18,6 +19,7 @@ import argparse
 import configparser
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -52,45 +54,68 @@ class ConfigError(ValueError):
     pass
 
 
-# schema: section -> key -> (python type, default, allowed values or None)
+def _kappa_ladder(raw: str) -> list[float]:
+    """run.kappa_ladder's levels; [] unless increasing, positive, finite."""
+    try:
+        ladder = [float(x) for x in raw.split(",")]
+    except ValueError:
+        return []
+    pairs = zip(ladder, ladder[1:] + [math.inf])
+    return ladder if all(0.0 < a < b for a, b in pairs) else []
+
+
+# named one-key domains; a name completes "section.key=value must be ..."
+_RULES = {
+    "positive": lambda x: x > 0,
+    "nonnegative": lambda x: x >= 0,
+    "at least 1": lambda x: x >= 1,
+    "greater than 1": lambda x: x > 1,
+    "in [0, 1]": lambda x: 0 <= x <= 1,
+    "in [-2, 1]": lambda x: -2 <= x <= 1,  # H^rho and H^(rho+1) norms
+    "a power of two, at least 8": lambda n: n >= 8 and not n & (n - 1),
+    "increasing finite positive levels": lambda raw: bool(_kappa_ladder(raw)),
+}
+
+# schema: section -> key -> (type, default, domain: choices, a _RULES name or
+# None).  Floats must be finite; build_scenario checks the rules between keys.
 _SCHEMA = {
     "run": {
         "experiment": (str, "simulate", SUBCOMMANDS),
-        "seed": (int, 0, None),
+        "seed": (int, 0, "nonnegative"),
         "out": (str, "runs/out", None),
-        "workers": (int, 1, None),
+        "workers": (int, 1, None),  # below 1: every core
         "mode": (str, "coupled", ("coupled", "decoupled")),
-        "paths": (int, 200, None),
-        "p": (float, 1.0, None),
-        "kappa_ladder": (str, "1,2,4,8", None),
-        "picard_tol": (float, 1e-8, None),
-        "picard_max_iter": (int, 60, None),
+        "paths": (int, 200, "at least 1"),
+        "p": (float, 1.0, "at least 1"),
+        "kappa_ladder": (str, "1,2,4,8", "increasing finite positive levels"),
+        "picard_tol": (float, 1e-8, "positive"),
+        "picard_max_iter": (int, 60, "at least 1"),
     },
     "grid": {
         "d": (int, 1, (1, 2, 3)),
         "boundary": (str, "periodic", ("periodic", "neumann")),
-        "n": (int, 64, None),
-        "modes": (int, 0, None),  # 0: every resolvable mode
+        "n": (int, 64, "a power of two, at least 8"),
+        "modes": (int, 0, "nonnegative"),  # 0: every resolvable mode
     },
     "model": {
-        "r_u": (float, 1.0, None),
-        "r_v": (float, 0.05, None),
-        "chi": (float, 1.0, None),
-        "gamma": (float, 3.0, None),
-        "k": (float, 0.0, None),
-        "f": (float, 0.0, None),
-        "g": (float, 0.0, None),
+        "r_u": (float, 1.0, "nonnegative"),
+        "r_v": (float, 0.05, "nonnegative"),
+        "chi": (float, 1.0, "nonnegative"),
+        "gamma": (float, 3.0, "greater than 1"),
+        "k": (float, 0.0, "nonnegative"),
+        "f": (float, 0.0, "nonnegative"),
+        "g": (float, 0.0, "nonnegative"),
         "sigma1": (float, 0.05, None),
         "sigma2": (float, 0.05, None),
         "calculus": (str, "ito", ("ito", "stratonovich")),
     },
     "solver": {
-        "dt": (float, 1e-3, None),
-        "t_final": (float, 1.0, None),
-        "newton_tol": (float, 1e-10, None),
-        "newton_max_iter": (int, 50, None),
+        "dt": (float, 1e-3, "positive"),
+        "t_final": (float, 1.0, "nonnegative"),
+        "newton_tol": (float, 1e-10, "positive"),
+        "newton_max_iter": (int, 50, "at least 1"),
         "nonneg_policy": (str, "monitor", ("monitor", "project")),
-        "snapshot_stride": (int, 10, None),
+        "snapshot_stride": (int, 10, "at least 1"),
     },
     "noise": {
         "delta1": (float, 1.0, None),
@@ -99,17 +124,17 @@ _SCHEMA = {
         "c2": (float, 0.1, None),
     },
     "hypothesis": {
-        "m": (float, 6.0, None),
-        "m0": (float, 12.0, None),
-        "p_star": (float, 8.0, None),
-        "p0_star": (float, 8.0, None),
-        "rho": (float, 0.4, None),
+        "m": (float, 6.0, "positive"),
+        "m0": (float, 12.0, "positive"),
+        "p_star": (float, 8.0, "positive"),
+        "p0_star": (float, 8.0, "at least 1"),  # no admissible nu below 1
+        "rho": (float, 0.4, "in [-2, 1]"),
         "l": (float, 12.0, None),
         "delta0": (float, 0.05, None),
     },
     "cutoff": {
-        "kappa": (float, 1.0, None),
-        "nu": (float, 0.0, None),  # 0: largest admissible
+        "kappa": (float, 1.0, "positive"),
+        "nu": (float, 0.0, "in [0, 1]"),  # 0: largest admissible
     },
     "initial": {
         "preset": (str, "bump",
@@ -119,11 +144,11 @@ _SCHEMA = {
         "u_base": (float, 0.1, None),
         "u_amp": (float, 0.15, None),
         "u_center": (float, 0.5, None),
-        "u_width": (float, 0.15, None),
+        "u_width": (float, 0.15, "positive"),
         "v_base": (float, 0.05, None),
         "v_amp": (float, 0.1, None),
         "v_center": (float, 0.4, None),
-        "v_width": (float, 0.15, None),
+        "v_width": (float, 0.15, "positive"),
         "perturb_amp": (float, 1e-3, None),
         "u_file": (str, "", None),
         "v_file": (str, "", None),
@@ -144,17 +169,20 @@ class RunConfig:
             raise ConfigError(f"unknown section [{section}]")
         if key not in _SCHEMA[section]:
             raise ConfigError(f"unknown key '{key}' in section [{section}]")
-        typ, _, allowed = _SCHEMA[section][key]
+        typ, _, domain = _SCHEMA[section][key]
         try:
             value = typ(raw)
         except ValueError as exc:
             raise ConfigError(
                 f"bad value for {section}.{key}: {raw!r} ({exc})"
             ) from exc
-        if allowed is not None and value not in allowed:
-            raise ConfigError(
-                f"{section}.{key} must be one of {allowed}, got {value!r}"
-            )
+        if typ is float and not math.isfinite(value):
+            raise ConfigError(f"{section}.{key}={value!r} must be finite")
+        if isinstance(domain, tuple) and value not in domain:
+            raise ConfigError(f"{section}.{key}={value!r} must be one of "
+                              f"{domain}")
+        if isinstance(domain, str) and not _RULES[domain](value):
+            raise ConfigError(f"{section}.{key}={value!r} must be {domain}")
         self.values[section][key] = value
         self.explicit.add((section, key))
 
@@ -212,83 +240,32 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> None:
 # ----------------------------------------------------------- construction
 
 
-def _kappa_ladder(cfg: RunConfig) -> list[float]:
-    """run.kappa_ladder as its truncation levels, strictly increasing and
-    positive."""
-    raw = cfg.get("run", "kappa_ladder")
-    try:
-        ladder = [float(x) for x in raw.split(",")]
-    except ValueError as exc:
-        raise ConfigError(
-            f"run.kappa_ladder={raw!r} is not a comma-separated list of "
-            f"numbers ({exc})"
-        ) from exc
-    increasing = all(a < b for a, b in zip(ladder, ladder[1:]))
-    if not (increasing and 0.0 < ladder[0] and ladder[-1] < np.inf):
-        raise ConfigError(
-            f"run.kappa_ladder={raw!r} must be strictly increasing finite "
-            f"positive levels"
-        )
-    return ladder
-
-
 def build_scenario(cfg: RunConfig) -> Scenario:
-    _kappa_ladder(cfg)
+    """The scenario of cfg; only the rules between keys are checked here."""
     g = cfg.values["grid"]
-    if g["n"] < 8 or g["n"] & (g["n"] - 1):
-        raise ConfigError(f"grid.n={g['n']} must be a power of two, at least 8")
     resolvable = resolvable_modes(g["d"], g["boundary"], g["n"])
-    n_modes = g["modes"] or resolvable
-    if not 0 < n_modes <= resolvable:
+    if g["modes"] > resolvable:
         raise ConfigError(
             f"grid.modes={g['modes']} is outside 0..{resolvable}, the modes "
             f"resolvable for grid.n={g['n']}, grid.d={g['d']}, {g['boundary']}"
         )
-    basis = build_basis(g["d"], g["boundary"], g["n"], n_modes)
-    m = cfg.values["model"]
-    model = ModelConfig(
-        r_u=m["r_u"], r_v=m["r_v"], chi=m["chi"], gamma=m["gamma"],
-        k=m["k"], f=m["f"], g=m["g"],
-        sigma1=m["sigma1"], sigma2=m["sigma2"], calculus=m["calculus"],
-    )
-    hp_raw = cfg.values["hypothesis"]
-    hypothesis = HypothesisParams(
-        d=g["d"], gamma=m["gamma"], m=hp_raw["m"], m0=hp_raw["m0"],
-        p_star=hp_raw["p_star"], p0_star=hp_raw["p0_star"],
-        rho=hp_raw["rho"], l=hp_raw["l"], delta0=hp_raw["delta0"],
-    )
+    basis = build_basis(g["d"], g["boundary"], g["n"], g["modes"] or resolvable)
+    model = ModelConfig(**cfg.values["model"])
+    hypothesis = HypothesisParams(d=g["d"], gamma=model.gamma,
+                                  **cfg.values["hypothesis"])
     s = cfg.values["solver"]
-    if not 0.0 < s["dt"] or (s["t_final"] > 0.0 and s["dt"] > s["t_final"]):
-        raise ConfigError(
-            f"solver.dt={s['dt']!r} must be positive and at most "
-            f"solver.t_final={s['t_final']!r}"
-        )
+    if s["t_final"] > 0.0 and s["dt"] > s["t_final"]:
+        raise ConfigError(f"solver.dt={s['dt']!r} must be at most "
+                          f"solver.t_final={s['t_final']!r}")
     n_steps = s["t_final"] / s["dt"]
     if abs(n_steps - round(n_steps)) > 1e-9 * abs(n_steps):
         raise ConfigError(f"solver.t_final={s['t_final']!r} is not a whole "
                           f"number of solver.dt={s['dt']!r} steps")
-    if not s["newton_tol"] > 0.0:
-        raise ConfigError(f"solver.newton_tol={s['newton_tol']!r} must be "
-                          "positive")
-    for key, value in (("run.paths", cfg.get("run", "paths")),
-                       ("solver.snapshot_stride", s["snapshot_stride"]),
-                       ("solver.newton_max_iter", s["newton_max_iter"])):
-        if value < 1:
-            raise ConfigError(f"{key}={value} must be at least 1")
-    solver = SolverConfig(
-        dt=s["dt"], t_final=s["t_final"], newton_tol=s["newton_tol"],
-        newton_max_iter=s["newton_max_iter"],
-        nonneg_policy=s["nonneg_policy"],
-        snapshot_stride=s["snapshot_stride"], record_rho=hypothesis.rho,
-    )
-    nz = cfg.values["noise"]
-    spec = NoiseSpec(
-        delta1=nz["delta1"], delta2=nz["delta2"], c1=nz["c1"], c2=nz["c2"],
-        seed=cfg.get("run", "seed"),
-    )
+    solver = SolverConfig(**s, record_rho=hypothesis.rho)
+    spec = NoiseSpec(**cfg.values["noise"], seed=cfg.get("run", "seed"))
     c = cfg.values["cutoff"]
     cutoff = CutoffParams(
-        kappa=c["kappa"], gamma=m["gamma"], m=hypothesis.m, m0=hypothesis.m0,
+        kappa=c["kappa"], gamma=model.gamma, m=hypothesis.m, m0=hypothesis.m0,
         p0_star=hypothesis.p0_star, nu=c["nu"] if c["nu"] > 0 else None,
     )
     u0, v0 = _initial_fields(cfg, basis, model)
@@ -389,10 +366,12 @@ def read_snapshots(path: Path):
 
 
 def _write_failure(out_dir: Path, subcommand: str, reason: str, details: dict):
+    """failure.json in strict JSON, a non-finite number written as null."""
+    details = json.loads(json.dumps(details, default=str),
+                         parse_constant=lambda _: None)
     payload = {"subcommand": subcommand, "reason": reason, "details": details}
-    with open(out_dir / "failure.json", "w") as fh:
-        json.dump(payload, fh, indent=2, default=str)
-        fh.write("\n")
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    (out_dir / "failure.json").write_text(text + "\n")
 
 
 # ------------------------------------------------------------ subcommands
@@ -473,7 +452,7 @@ def _cmd_picard(cfg, sc, out_dir, header, workers):
 
 
 def _cmd_glue(cfg, sc, out_dir, header, workers):
-    ladder = _kappa_ladder(cfg)
+    ladder = _kappa_ladder(cfg.get("run", "kappa_ladder"))
     result = fixedpoint.glue_simulate(
         sc.u0, sc.v0, ladder, sc.model, sc.solver, sc.basis, sc.noise,
         sc.cutoff, tol=cfg.get("run", "picard_tol"),
@@ -650,6 +629,14 @@ def run(subcommand: str, cfg: RunConfig, out_dir, workers: Optional[int] = None,
     return status
 
 
+def _set_seed(cfg: RunConfig, raw: str, source: str) -> None:
+    """run.seed from the flag or the environment, in the key's domain."""
+    try:
+        cfg.set("run", "seed", raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="klausim",
@@ -659,7 +646,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", type=Path, default=None,
                         help="config file (INI sections; defaults if omitted)")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", default=None,
                         help="master seed (overrides config and environment)")
     parser.add_argument("--out", type=Path, default=None,
                         help="output directory (overrides run.out)")
@@ -673,24 +660,23 @@ def main(argv: Optional[list[str]] = None) -> int:
     cfg = default_config()
     try:
         if args.config is not None:
-            cfg = parse_config(Path(args.config).read_text())
-        apply_overrides(cfg, args.override)
-        seed_source = "default"
-        metadata_extra = []
-        if ("run", "seed") in cfg.explicit:
-            seed_source = "config"
-        if os.environ.get(SEED_ENV_VAR) and seed_source == "default":
             try:
-                cfg.values["run"]["seed"] = int(os.environ[SEED_ENV_VAR])
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {SEED_ENV_VAR}: {exc}") from exc
+                text = Path(args.config).read_text()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read --config: {exc}") from exc
+            cfg = parse_config(text)
+        apply_overrides(cfg, args.override)
+        seed_source = "config" if ("run", "seed") in cfg.explicit else "default"
+        metadata_extra = []
+        if os.environ.get(SEED_ENV_VAR) and seed_source == "default":
+            _set_seed(cfg, os.environ[SEED_ENV_VAR], SEED_ENV_VAR)
             seed_source = "environment"
         if args.seed is not None:
             if seed_source == "config":
                 metadata_extra.append(
                     f"config_seed_overridden_by_flag: {cfg.get('run', 'seed')}"
                 )
-            cfg.values["run"]["seed"] = args.seed
+            _set_seed(cfg, args.seed, "--seed")
             seed_source = "flag"
     except ConfigError as exc:
         print(f"klausim: {exc}", file=sys.stderr)

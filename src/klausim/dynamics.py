@@ -86,10 +86,12 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("r_u", "r_v", "chi", "k", "f", "g"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.gamma <= 1.0:
+        if not self.gamma > 1.0:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+        if not math.isfinite(self.sigma1 + self.sigma2):
+            raise ValueError("sigma1 and sigma2 must be finite")
         if self.calculus not in (ITO, STRATONOVICH):
             raise ValueError(f"unknown calculus {self.calculus!r}")
 
@@ -115,16 +117,18 @@ class SolverConfig:
     record_rho: float = 0.4
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.t_final < 0 or (self.t_final > 0 and self.dt > self.t_final):
+        if not self.t_final >= 0 or (self.t_final > 0 and self.dt > self.t_final):
             raise ValueError("need 0 <= dt <= t_final")
-        if self.newton_tol <= 0 or self.newton_max_iter < 1:
+        if not (self.newton_tol > 0 and self.newton_max_iter >= 1):
             raise ValueError("Newton controls must be positive")
         if self.nonneg_policy not in ("monitor", "project"):
             raise ValueError(f"unknown nonneg policy {self.nonneg_policy!r}")
-        if self.snapshot_stride < 1:
+        if not self.snapshot_stride >= 1:
             raise ValueError("snapshot stride must be >= 1")
+        if not abs(self.record_rho) <= 2.0:  # sobolev_norm's orders
+            raise ValueError(f"record_rho={self.record_rho} outside [-2, 2]")
 
     @property
     def n_steps(self) -> int:

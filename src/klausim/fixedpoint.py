@@ -78,8 +78,9 @@ class CutoffParams:
     nu: Optional[float] = None
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        for name in ("kappa", "gamma", "m", "m0", "p0_star"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.nu is None:
             object.__setattr__(
                 self, "nu", default_nu(self.gamma, self.m0, self.p0_star)
@@ -87,9 +88,9 @@ class CutoffParams:
         if not 0.0 < self.nu <= 1.0:
             raise ValueError(f"nu={self.nu} outside (0, 1]")
         tol = 1e-12
-        if 1.0 / self.p0_star + self.nu * self.m0 / (self.gamma + 1.0) > 1.0 + tol:
+        if not 1.0 / self.p0_star + self.nu * self.m0 / (self.gamma + 1.0) <= 1.0 + tol:
             raise ValueError("nu violates 1/p0* + nu m0/(gamma+1) <= 1")
-        if 1.0 / self.p0_star + self.nu / self.m0 > 1.0 + tol:
+        if not 1.0 / self.p0_star + self.nu / self.m0 <= 1.0 + tol:
             raise ValueError("nu violates 1/p0* + nu/m0 <= 1")
 
     def with_kappa(self, kappa: float) -> "CutoffParams":
@@ -238,8 +239,8 @@ def picard_solve(
     is a numerical surrogate -- nothing guarantees contraction in general,
     so non-convergence raises with the residual history attached.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (tol > 0 and max_iter >= 1):
+        raise ValueError("need tol > 0 and max_iter >= 1")
     n_steps = solver.n_steps
     if initial_pair is None:
         zero = FrozenPair.zero(basis, solver.dt, n_steps)

@@ -12,6 +12,8 @@ from klausim import diagnostics
 from klausim.cli import (
     ConfigError,
     SEED_ENV_VAR,
+    _SCHEMA,
+    _write_failure,
     apply_overrides,
     build_scenario,
     default_config,
@@ -549,3 +551,91 @@ def test_ensemble_newton_failure_names_its_path(tmp_path, workers):
     assert failure["details"]["path"] == 51
     assert failure["details"]["step_index"] == 8
     assert "path 51" in failure["details"]["error"]
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_schema_defaults_lie_in_their_domains():
+    cfg = default_config()
+    for section, keys in _SCHEMA.items():
+        for key, (_, default, _) in keys.items():
+            raw = repr(default) if isinstance(default, float) else str(default)
+            cfg.set(section, key, raw)  # raises outside the key's domain
+            assert cfg.get(section, key) == default
+
+
+FLOAT_KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items()
+              for key, spec in keys.items() if spec[0] is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_fails_by_key(tmp_path, key, value):
+    out = tmp_path / "out"
+    status = main(["simulate", "--out", str(out), "--override",
+                   f"{key}={value}"])
+    assert status == 2
+    failure = _strict_json((out / "failure.json").read_text())
+    assert failure["reason"] == "invalid configuration"
+    assert key in failure["details"]["error"]
+
+
+@pytest.mark.parametrize("subcommand, override", [
+    ("simulate", "run.picard_tol=0"),
+    ("simulate", "hypothesis.m0=0"),
+    ("simulate", "hypothesis.p0_star=0"),
+    ("simulate", "initial.u_width=0"),
+    ("simulate", "cutoff.kappa=0"),
+    ("simulate", "cutoff.nu=2"),
+    ("simulate", "hypothesis.rho=3"),
+    ("simulate", "run.seed=-1"),
+    ("picard", "run.picard_max_iter=0"),
+])
+def test_value_outside_domain_fails_by_key(tmp_path, subcommand, override):
+    out = tmp_path / "out"
+    status = main([subcommand, "--out", str(out), "--override",
+                   "solver.t_final=0.01", "--override", override])
+    assert status == 2
+    failure = _failure(out)
+    assert failure["reason"] == "invalid configuration"
+    assert override.split("=")[0] in failure["details"]["error"]
+
+
+@pytest.mark.parametrize("argv, env, source", [
+    (["--seed", "-1"], None, "--seed"),
+    (["--seed", "abc"], None, "--seed"),
+    ([], "-1", SEED_ENV_VAR),
+])
+def test_seed_flag_and_environment_fail_by_key(tmp_path, monkeypatch, argv,
+                                               env, source):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    if env is not None:
+        monkeypatch.setenv(SEED_ENV_VAR, env)
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out)] + argv) == 2
+    error = _failure(out)["details"]["error"]
+    assert "run.seed" in error and source in error
+
+
+def test_unreadable_config_file_writes_failure(tmp_path):
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (tmp_path / "missing.cfg", binary):
+        out = tmp_path / path.stem
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        failure = _failure(out)
+        assert failure["reason"] == "invalid configuration"
+        assert "--config" in failure["details"]["error"]
+
+
+def test_failure_json_writes_non_finite_numbers_as_null(tmp_path):
+    details = {"residual": float("nan"), "bounds": [float("inf"), -np.inf],
+               "step_index": 3, "nested": {"r": np.float64("nan")}}
+    _write_failure(tmp_path, "simulate", "solver failure", details)
+    failure = _strict_json((tmp_path / "failure.json").read_text())
+    assert failure["details"] == {"residual": None, "bounds": [None, None],
+                                  "step_index": 3, "nested": {"r": None}}

@@ -38,6 +38,21 @@ def make_solver(**kw):
     return SolverConfig(**defaults)
 
 
+@pytest.mark.parametrize("name", ["r_u", "r_v", "chi", "gamma", "k", "f", "g",
+                                  "sigma1", "sigma2"])
+def test_model_config_rejects_nan(name):
+    with pytest.raises(ValueError):
+        ModelConfig(**{name: float("nan")})
+
+
+@pytest.mark.parametrize("name", ["dt", "t_final", "newton_tol",
+                                  "newton_max_iter", "snapshot_stride",
+                                  "record_rho"])
+def test_solver_config_rejects_nan(name):
+    with pytest.raises(ValueError):
+        make_solver(**{name: float("nan")})
+
+
 # ---------------------------------------------------------------- pm step
 
 

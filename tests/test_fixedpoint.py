@@ -84,6 +84,14 @@ def test_cutoff_params_reject_bad_nu():
         CutoffParams(kappa=-1.0, gamma=3.0, m=6.0, m0=12.0, p0_star=8.0)
 
 
+@pytest.mark.parametrize("name", ["kappa", "gamma", "m", "m0", "p0_star",
+                                  "nu"])
+def test_cutoff_params_reject_nan(name):
+    fields = dict(kappa=1.0, gamma=3.0, m=6.0, m0=12.0, p0_star=8.0, nu=None)
+    with pytest.raises(ValueError):
+        CutoffParams(**{**fields, name: float("nan")})
+
+
 # ------------------------------------------------------------ h functional
 
 
@@ -338,6 +346,17 @@ def test_picard_nonconvergence_raises():
             tol=1e-30, max_iter=3,
         )
     assert len(err.value.residuals) == 3
+
+
+@pytest.mark.parametrize("tol, max_iter", [(1e-8, 0), (float("nan"), 60)])
+def test_picard_rejects_bad_controls(small, tol, max_iter):
+    sc = small
+    path = generate_path(sc.noise, sc.basis, sc.solver.dt, sc.solver.n_steps)
+    with pytest.raises(ValueError, match="max_iter"):
+        picard_solve(
+            sc.u0, sc.v0, 1.0, path, sc.model, sc.solver, sc.basis, sc.cutoff,
+            tol=tol, max_iter=max_iter,
+        )
 
 
 def test_truncation_consistency_with_direct_run(small):
