@@ -14,22 +14,15 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .basis import SpectralBasis
-from .dynamics import (
-    CoupledState,
-    ModelConfig,
-    Trajectory,
-    step_coupled,
-    _drive,
-    _mult_drifts,
-)
+from .dynamics import ModelConfig, Trajectory, _run_paths
 from .fields import _lp_rows, gradient_squared, lp_norm, sobolev_norm
 from .fixedpoint import FrozenPair, picard_solve
-from .noise import generate_path, _increment_rows, _path_keys
+from .noise import generate_path
 
 
 @dataclass(frozen=True)
@@ -272,33 +265,21 @@ _STAT_NAMES = (
 )
 
 
-def _chunk_statistics(scenario, p: float, rho: float, m0: float,
-                      indices: np.ndarray) -> np.ndarray:
+def _chunk_statistics(scenario, p: float, indices: np.ndarray) -> np.ndarray:
     """The _STAT_NAMES of paths `indices` (an int array), one row each in
     that order.
 
-    The paths advance as one batch through the time driver; each draws the
-    noise field its stored path gives, so every row equals the path run
-    alone bit for bit.  The statistics stream: each record adds its per-row
-    rates, and no snapshot is kept.
+    The paths observe one `_run_paths` batch, so every row equals the path
+    run alone bit for bit.  The statistics stream: each record adds its
+    per-row rates, and no snapshot is kept.
     """
-    sc = scenario
-    basis, model, solver, spec = sc.basis, sc.model, sc.solver, sc.noise
-    dt, n_steps = solver.dt, solver.n_steps
-    keys = _path_keys(spec, indices, [0] * len(indices))
-    drift1, drift2 = _mult_drifts(basis, model, spec, None)
-
-    def increments(n):
-        return _increment_rows(spec, basis, dt, keys, [n] * len(keys))
-
-    def step(state, n, dw1, dw2):
-        return step_coupled(basis, state, model, solver, dw1, dw2,
-                            drift1, drift2)
-
+    basis, model, rho, m0 = (scenario.basis, scenario.model,
+                             scenario.hypothesis.rho, scenario.hypothesis.m0)
+    dt, n_steps = scenario.solver.dt, scenario.solver.n_steps
     # the _STAT_NAMES rows; the smoothing sum before its power
     acc = np.zeros((len(_STAT_NAMES), len(indices)))
 
-    def record(n, u, v):
+    def record(n, u, v, live, rung):
         sup, diss, coup = _energy_rates(basis, u, v, p, model)
         np.maximum(acc[0], sup, out=acc[0])
         np.maximum(acc[3], [x ** m0 for x in
@@ -308,18 +289,14 @@ def _chunk_statistics(scenario, p: float, rho: float, m0: float,
             acc[2] += dt * model.chi * coup
             acc[4] += [dt * x ** 2
                        for x in sobolev_norm(basis, v, rho + 1.0).tolist()]
+        return live, ()
 
-    u0, v0 = (np.repeat(f[None], len(indices), axis=0) for f in (sc.u0, sc.v0))
-    record(0, u0, v0)
-    for n, (state, _) in enumerate(_drive(CoupledState(u0, v0, 0.0), solver,
-                                          n_steps, step, increments,
-                                          lambda: indices)):
-        record(n + 1, state.u, state.v)
+    _run_paths(scenario, indices, record)
     bad = ~np.isfinite(acc).all(axis=0)
     if bad.any():
         raise FloatingPointError(
             f"non-finite path statistic for path {indices[bad][0]} "
-            f"(seed {spec.seed})"
+            f"(seed {scenario.noise.seed})"
         )
     acc[4] = [x ** (m0 / 2.0) for x in acc[4].tolist()]
     return acc.T.copy()  # C order: the report's means add rows in order
@@ -329,8 +306,7 @@ def _ensemble_rows(scenario, p: float, indices, workers: int) -> np.ndarray:
     """_STAT_NAMES of each path of `indices`, row j for path indices[j].
     The paths split into contiguous chunks, one per worker, each stepped as
     one batch; a row does not depend on its chunk."""
-    hp = scenario.hypothesis
-    chunk_stats = partial(_chunk_statistics, scenario, p, hp.rho, hp.m0)
+    chunk_stats = partial(_chunk_statistics, scenario, p)
     workers = max(1, min(workers, len(indices)))
     chunks = np.array_split(np.asarray(indices, dtype=int), workers)
     if workers == 1:
@@ -339,10 +315,8 @@ def _ensemble_rows(scenario, p: float, indices, workers: int) -> np.ndarray:
         return np.concatenate(list(pool.map(chunk_stats, chunks)))
 
 
-def ensemble_moments(
-    scenario, p: float, n_paths: int, workers: int = 1,
-    path_indices: Optional[Sequence[int]] = None,
-) -> EnsembleReport:
+def ensemble_moments(scenario, p: float, n_paths: int,
+                     workers: int = 1) -> EnsembleReport:
     """Monte-Carlo moment estimates over independent noise substreams.
 
     Per-path statistics are keyed by path index, so the estimate is
@@ -353,12 +327,11 @@ def ensemble_moments(
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
     hp = scenario.hypothesis
-    indices = list(range(n_paths)) if path_indices is None else list(path_indices)
-    rows = _ensemble_rows(scenario, p, indices, workers)
+    rows = _ensemble_rows(scenario, p, range(n_paths), workers)
     means = rows.mean(axis=0)
-    stderrs = rows.std(axis=0, ddof=1) / np.sqrt(len(indices))
+    stderrs = rows.std(axis=0, ddof=1) / np.sqrt(n_paths)
     stats = {
-        name: Statistic(float(means[i]), float(stderrs[i]), len(indices))
+        name: Statistic(float(means[i]), float(stderrs[i]), n_paths)
         for i, name in enumerate(_STAT_NAMES)
     }
     lhs_u = _moment_lhs(scenario.model, p, means[0], means[1], means[2])
@@ -372,7 +345,7 @@ def ensemble_moments(
     )
     c2 = float(lhs_v / v0_scale)
     return EnsembleReport(
-        p=p, n_paths=len(indices), stats=stats, c0_ratio=c0, c2_ratio=c2
+        p=p, n_paths=n_paths, stats=stats, c0_ratio=c0, c2_ratio=c2
     )
 
 

@@ -17,7 +17,7 @@ policy: step index and failing path on Newton failures,
 nonneg_policy=project, the finiteness check.  Direct runs and the frozen
 sweeps of the Picard iteration record one path's norm ledger, budget h and
 snapshots through one recorder; the moment ensemble and the exit-time
-sampler step batches and stream their statistics from its states.
+sampler observe one path-batch runner and stream their statistics.
 
 The Newton driver and the row norms compute on one shape, a batch of paths
 (P,) + grid; a lone field is a batch of one.  Every row advances exactly as
@@ -28,6 +28,7 @@ roots and powers on scalars.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -37,7 +38,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .basis import SpectralBasis, analyze, apply_laplacian, synthesize
 from .fields import _lp_rows, power_gamma, sobolev_norm
-from .noise import NoisePath, stratonovich_correction
+from .noise import NoisePath, stratonovich_correction, _increment_rows, _path_keys
 
 ITO = "ito"
 STRATONOVICH = "stratonovich"
@@ -503,6 +504,52 @@ def _drive(state, solver, n_steps, step, increments, paths=None):
             )
         state = new
         yield state, clipped
+
+
+def _run_paths(scenario, paths, observe) -> CoupledState:
+    """Step paths `paths` (an int array of path indices) of `scenario` from
+    its initial fields as one batch of coupled steps; each row draws its
+    path's noise of its rung at the rung's local step, and ends bit for bit
+    as that path stepped alone.  A Newton failure names its path.
+
+    observe(n, u, v, live, rung) sees the batch u, v after n steps, n = 0 to
+    solver.n_steps, with the rows `live` that step next and each row's rung.
+    It returns the rows that go on and, among them, those that start their
+    next rung at step n on fresh (path, rung) streams.  The run stops once
+    no row goes on; a stopped row keeps its state.  Returns the last state.
+    """
+    basis, model, solver, spec = (scenario.basis, scenario.model,
+                                  scenario.solver, scenario.noise)
+    drift1, drift2 = _mult_drifts(basis, model, spec, None)
+    rung = np.zeros(len(paths), dtype=int)
+    start = np.zeros(len(paths), dtype=int)  # the step each rung began at
+    keys = _path_keys(spec, paths, rung)
+    live = np.arange(len(paths))
+
+    def increments(n):
+        return _increment_rows(spec, basis, solver.dt, keys[live],
+                               n - start[live])
+
+    def step(state, n, dw1, dw2):  # the live rows move, in place
+        rows = CoupledState(state.u[live], state.v[live], state.t)
+        moved = step_coupled(basis, rows, model, solver, dw1, dw2,
+                             drift1, drift2)
+        state.u[live], state.v[live] = moved.u, moved.v
+        return CoupledState(state.u, state.v, moved.t)
+
+    state = CoupledState(*(np.repeat(f[None], len(paths), axis=0)
+                           for f in (scenario.u0, scenario.v0)), 0.0)
+    records = _drive(state, solver, solver.n_steps, step, increments,
+                     lambda: paths[live])
+    for n, (state, _) in enumerate(itertools.chain([(state, 0)], records)):
+        live, climb = observe(n, state.u, state.v, live, rung)
+        if len(climb):
+            rung[climb] += 1
+            start[climb] = n
+            keys[climb] = _path_keys(spec, paths[climb], rung[climb])
+        if not len(live):
+            break
+    return state
 
 
 def _path_increments(noise_path: Optional[NoisePath], solver: SolverConfig):

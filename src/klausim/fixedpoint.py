@@ -25,28 +25,20 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .dynamics import (
-    CoupledState,
     ModelConfig,
     SolverConfig,
     Trajectory,
     simulate_path,
-    step_coupled,
     step_frozen,
-    _drive,
     _h_budget,
     _h_column,
     _h_rate_rows,
     _mult_drifts,
     _path_increments,
     _record_run,
+    _run_paths,
 )
-from .noise import (
-    NoisePath,
-    NoiseSpec,
-    generate_path,
-    _increment_rows,
-    _path_keys,
-)
+from .noise import NoisePath, NoiseSpec, generate_path
 
 
 class PicardError(RuntimeError):
@@ -447,89 +439,76 @@ def _exit_steps(scenario, levels: Sequence[float], n_paths: int):
     draws its noise from the (seed, channel, i, r) substreams at its own
     local step.  A path stops at its first rung that does not exit before
     the horizon, when it exits at the horizon step, or after its last rung.
-    Every live path advances through one call of the step kernel per step,
-    and each ends bit for bit as it would stepped alone.
+    The paths observe one `_run_paths` batch, and each ends bit for bit as
+    it would stepped alone.
 
     Returns (crossings, end): crossings[i, r] is the global step at which
     path i's h reached levels[r] (-1 if it did not), and end is the batch
     state holding each path as it stopped.
     """
-    sc = scenario
-    basis, model, solver, spec = sc.basis, sc.model, sc.solver, sc.noise
-    n_total = solver.n_steps
-    drift1, drift2 = _mult_drifts(basis, model, spec, None)
+    solver, cutoff = scenario.solver, scenario.cutoff
     thresholds = np.asarray(levels, dtype=float)
     crossings = np.full((n_paths, len(levels)), -1)
-    rung = np.zeros(n_paths, dtype=int)
-    rung_start = np.zeros(n_paths, dtype=int)  # global step the rung began at
     sums = np.zeros((2, n_paths))  # running sums of the two h integrands
-    keys = _path_keys(spec, range(n_paths), rung)
-    live = np.arange(n_paths)
-    state = CoupledState(np.repeat(sc.u0[None], n_paths, axis=0),
-                         np.repeat(sc.v0[None], n_paths, axis=0), 0.0)
 
-    def increments(n):
-        return _increment_rows(spec, basis, solver.dt, keys[live],
-                               n - rung_start[live])
-
-    def step(state, n, dw1, dw2):
-        rows = CoupledState(state.u[live], state.v[live], state.t)
-        moved = step_coupled(basis, rows, model, solver, dw1, dw2,
-                             drift1, drift2)
-        u, v = state.u.copy(), state.v.copy()
-        u[live], v[live] = moved.u, moved.v
-        return CoupledState(u, v, moved.t)
-
-    for n, (new, _) in enumerate(_drive(state, solver, n_total, step,
-                                        increments, lambda: live)):
-        rate_eta, rate_xi = _h_rate_rows(state.u[live], state.v[live],
-                                         sc.cutoff)
-        sums[0, live] += rate_eta
-        sums[1, live] += rate_xi
-        state = new
-        h = np.array([_h_budget(a, b, solver.dt, sc.cutoff.nu) for a, b in
+    def observe(n, u, v, live, rung):  # h(0) = 0 is below every level
+        h = np.array([_h_budget(a, b, solver.dt, cutoff.nu) for a, b in
                       zip(sums[0, live].tolist(), sums[1, live].tolist())])
         crossed = live[h >= thresholds[rung[live]]]
-        crossings[crossed, rung[crossed]] = n + 1
+        crossings[crossed, rung[crossed]] = n
         # a crossing before the horizon climbs to the next rung, if any
-        climbs = (rung[crossed] + 1 < len(levels)) & (n + 1 < n_total)
-        climb = crossed[climbs]
-        rung[climb] += 1
-        rung_start[climb] = n + 1
-        sums[:, climb] = 0.0
-        if climb.size:
-            keys[climb] = _path_keys(spec, climb, rung[climb])
+        climbs = (rung[crossed] + 1 < len(levels)) & (n < solver.n_steps)
+        sums[:, crossed[climbs]] = 0.0
         live = live[~np.isin(live, crossed[~climbs])]
-        if live.size == 0:
-            break
-    return crossings, state
+        if n < solver.n_steps:  # the left-endpoint rates of the next step
+            sums[:, live] += _h_rate_rows(u[live], v[live], cutoff)
+        return live, crossed[climbs]
+
+    return crossings, _run_paths(scenario, np.arange(n_paths), observe)
 
 
-def exit_prob_estimate(scenario, kappa: float, n_paths: int) -> ExitProbeResult:
-    """Monte-Carlo estimate of P(tau_bar_kappa < T).
+def exit_tail(scenario, kappas: Sequence[float],
+              n_paths: int) -> list[ExitProbeResult]:
+    """Monte-Carlo estimates of P(tau_bar_kappa < T), one for each kappa.
 
     tau_bar is the sum of the per-rung exit times over the threshold ladder
     1, 2, ..., kappa; below each threshold the truncated dynamics equal the
     plain coupled dynamics (phi = 1), so each rung is sampled by direct
     stepping, all paths at once.  Rung substreams are keyed by (path, rung),
-    making estimates for nested ladders pathwise coupled; the tail
-    probability is then monotone in kappa by construction, as the Markov
-    bound requires.  A path that exits its last rung at the horizon step is
-    not counted.
+    so a path crosses a level at the same step in every ladder holding it:
+    one `_exit_steps` pass over the longest ladder serves every ladder that
+    is a prefix of it (a non-integer kappa heads its own), and the tail
+    probability is monotone in kappa by construction, as the Markov bound
+    requires.  A path that exits its last rung at the horizon step is not
+    counted.
     """
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
-    if kappa <= 0:
+    if not all(k > 0 for k in kappas):
         raise ValueError("kappa must be positive")
-    crossings, _ = _exit_steps(scenario, _exit_ladder(kappa), n_paths)
-    last = crossings[:, -1]
-    exits = int(np.count_nonzero((last > 0) & (last < scenario.solver.n_steps)))
-    p_hat = exits / n_paths
-    stderr = float(np.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n_paths))
-    return ExitProbeResult(
-        kappa=float(kappa), n_paths=n_paths, p_hat=p_hat,
-        stderr=stderr, exit_counts=exits,
-    )
+    ladders = [tuple(_exit_ladder(k)) for k in kappas]
+    n_total = scenario.solver.n_steps
+    exits = {}  # ladder -> paths crossing its last level inside (0, T)
+    for top in sorted(set(ladders), key=len, reverse=True):
+        if top not in exits:  # one pass serves every prefix of `top`
+            crossings, _ = _exit_steps(scenario, top, n_paths)
+            for lad in (lad for lad in ladders if top[:len(lad)] == lad):
+                at = crossings[:, len(lad) - 1]
+                exits[lad] = int(np.count_nonzero((at > 0) & (at < n_total)))
+    results = []
+    for kappa, ladder in zip(kappas, ladders):
+        p_hat = exits[ladder] / n_paths
+        stderr = float(np.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n_paths))
+        results.append(ExitProbeResult(
+            kappa=float(kappa), n_paths=n_paths, p_hat=p_hat,
+            stderr=stderr, exit_counts=exits[ladder],
+        ))
+    return results
+
+
+def exit_prob_estimate(scenario, kappa: float, n_paths: int) -> ExitProbeResult:
+    """Monte-Carlo estimate of P(tau_bar_kappa < T); see `exit_tail`."""
+    return exit_tail(scenario, [kappa], n_paths)[0]
 
 
 def fit_tail_constant(kappas: Sequence[float], p_hats: Sequence[float]) -> float:

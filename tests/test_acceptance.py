@@ -24,12 +24,13 @@ from klausim.dynamics import (
     Trajectory,
     heat_step,
     simulate_path,
+    _run_paths,
 )
 from klausim.fields import lp_norm, pm_inequality_gap
 from klausim.fixedpoint import (
     FrozenPair,
     apply_V,
-    exit_prob_estimate,
+    exit_tail,
     fit_tail_constant,
     pair_distance,
     picard_solve,
@@ -119,16 +120,18 @@ def test_criterion_04_noise_statistics():
 
 
 def test_criterion_05_nonnegativity_ensemble():
+    # the 50 paths step as one batch; each row's minima equal its path's
+    # serial simulate_path run (test_ensemble_batch.py)
     sc = nonneg_scenario(seed=505, n=128, dt=1e-3)
-    worst_u, worst_v = np.inf, np.inf
-    for path_index in range(50):
-        path = generate_path(
-            sc.noise, sc.basis, sc.solver.dt, sc.solver.n_steps,
-            path_index=path_index,
-        )
-        traj = simulate_path(sc.basis, sc.u0, sc.v0, sc.model, sc.solver, path)
-        worst_u = min(worst_u, traj.norms["min_u"].min())
-        worst_v = min(worst_v, traj.norms["min_v"].min())
+    minima = np.full((2, 50), np.inf)
+
+    def audit(n, u, v, live, rung):
+        np.minimum(minima[0], u.min(axis=1), out=minima[0])
+        np.minimum(minima[1], v.min(axis=1), out=minima[1])
+        return live, ()
+
+    _run_paths(sc, np.arange(50), audit)
+    worst_u, worst_v = minima.min(axis=1)
     report(5, "nonnegativity", worst_u >= -1e-6 and worst_v >= -1e-6,
            f"worst min u {worst_u:.2e}, worst min v {worst_v:.2e}, 50 paths")
 
@@ -186,7 +189,9 @@ def test_criterion_07_truncation_consistency(picard_setup):
 def test_criterion_08_stopping_time_tail():
     sc = exit_scenario(seed=808)
     kappas = [1.0, 2.0, 4.0, 8.0]
-    estimates = [exit_prob_estimate(sc, k, 500) for k in kappas]
+    # one pass over the kappa=8 ladder; test_exit_batch.py checks it against
+    # one exit_prob_estimate call per kappa
+    estimates = exit_tail(sc, kappas, 500)
     p_hats = [e.p_hat for e in estimates]
     nonincreasing = all(
         b.p_hat <= a.p_hat + 2.0 * (a.stderr + b.stderr)

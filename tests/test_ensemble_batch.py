@@ -16,11 +16,11 @@ import pytest
 
 from klausim.basis import build_basis
 from klausim.diagnostics import HypothesisParams, _ensemble_rows, energy_monitor
-from klausim.dynamics import ModelConfig, SolverConfig, simulate_path
+from klausim.dynamics import ModelConfig, SolverConfig, _run_paths, simulate_path
 from klausim.fields import gradient_squared, lp_norm, sobolev_norm
 from klausim.fixedpoint import CutoffParams
 from klausim.noise import NoiseSpec, generate_path
-from klausim.scenarios import Scenario, bump_field
+from klausim.scenarios import Scenario, bump_field, nonneg_scenario
 
 
 def serial_energy(traj, p, model, basis):
@@ -153,3 +153,26 @@ def test_energy_monitor_matches_lone_fields(d, boundary, p):
     assert np.array_equal(ledger.dissipation, dissipation)
     assert np.array_equal(ledger.coupling, coupling)
     assert dissipation[-1] > 0.0 and coupling[-1] > 0.0
+
+
+def test_runner_minima_match_serial_loop():
+    """Criterion 05's audit: the batch's per-record minima of u and v on
+    each row equal the min_u and min_v columns of its path's serial run."""
+    sc = nonneg_scenario(seed=505, n=128, dt=1e-3)
+    sc = dataclasses.replace(
+        sc, solver=dataclasses.replace(sc.solver, t_final=0.05))
+    records = []
+
+    def audit(n, u, v, live, rung):
+        records.append((u.min(axis=1), v.min(axis=1)))
+        return live, ()
+
+    _run_paths(sc, np.arange(4), audit)
+    minima = np.array(records)  # (record, field, path)
+    for i in range(4):
+        path = generate_path(sc.noise, sc.basis, sc.solver.dt,
+                             sc.solver.n_steps, path_index=i)
+        traj = simulate_path(sc.basis, sc.u0, sc.v0, sc.model, sc.solver,
+                             path)
+        assert np.array_equal(minima[:, 0, i], traj.norms["min_u"])
+        assert np.array_equal(minima[:, 1, i], traj.norms["min_v"])
