@@ -264,10 +264,14 @@ def build_scenario(cfg: RunConfig) -> Scenario:
     solver = SolverConfig(**s, record_rho=hypothesis.rho)
     spec = NoiseSpec(**cfg.values["noise"], seed=cfg.get("run", "seed"))
     c = cfg.values["cutoff"]
-    cutoff = CutoffParams(
-        kappa=c["kappa"], gamma=model.gamma, m=hypothesis.m, m0=hypothesis.m0,
-        p0_star=hypothesis.p0_star, nu=c["nu"] if c["nu"] > 0 else None,
-    )
+    try:
+        cutoff = CutoffParams(
+            kappa=c["kappa"], gamma=model.gamma, m=hypothesis.m, m0=hypothesis.m0,
+            p0_star=hypothesis.p0_star, nu=c["nu"] if c["nu"] > 0 else None,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"cutoff.nu with hypothesis.p0_star, hypothesis.m0 "
+                          f"and model.gamma: {exc}") from exc
     u0, v0 = _initial_fields(cfg, basis, model)
     return Scenario(basis, model, solver, spec, cutoff, hypothesis, u0, v0)
 
@@ -284,7 +288,11 @@ def _initial_fields(cfg: RunConfig, basis, model):
                         ic["v_width"])
         return u0, v0
     if preset == "perturbed-homogeneous":
-        return perturbed_homogeneous_fields(basis, model, ic["perturb_amp"])
+        try:
+            return perturbed_homogeneous_fields(basis, model, ic["perturb_amp"])
+        except ValueError as exc:
+            raise ConfigError(f"initial.preset={preset} with model.k, model.f, "
+                              f"model.g and model.chi: {exc}") from exc
     fields = []
     for key in ("u_file", "v_file"):
         if not ic[key]:
@@ -470,9 +478,11 @@ def _cmd_glue(cfg, sc, out_dir, header, workers):
 
 
 def _cmd_ensemble(cfg, sc, out_dir, header, workers):
+    n_paths = cfg.get("run", "paths")  # the key admits fewer for noise-selftest
+    if n_paths < 100:
+        raise ConfigError(f"run.paths={n_paths} must be at least 100 here")
     report = diagnostics.ensemble_moments(
-        sc, p=cfg.get("run", "p"), n_paths=cfg.get("run", "paths"),
-        workers=workers,
+        sc, p=cfg.get("run", "p"), n_paths=n_paths, workers=workers,
     )
     with open(out_dir / "report.txt", "w") as fh:
         fh.write(header + str(report) + "\n")

@@ -326,12 +326,17 @@ def ensemble_moments(scenario, p: float, n_paths: int,
     """
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
+    return _ensemble_report(
+        scenario, p, _ensemble_rows(scenario, p, range(n_paths), workers))
+
+
+def _ensemble_report(scenario, p: float, rows: np.ndarray) -> EnsembleReport:
+    """The report of `rows`, the _STAT_NAMES rows of its paths, C order."""
     hp = scenario.hypothesis
-    rows = _ensemble_rows(scenario, p, range(n_paths), workers)
     means = rows.mean(axis=0)
-    stderrs = rows.std(axis=0, ddof=1) / np.sqrt(n_paths)
+    stderrs = rows.std(axis=0, ddof=1) / np.sqrt(len(rows))
     stats = {
-        name: Statistic(float(means[i]), float(stderrs[i]), n_paths)
+        name: Statistic(float(means[i]), float(stderrs[i]), len(rows))
         for i, name in enumerate(_STAT_NAMES)
     }
     lhs_u = _moment_lhs(scenario.model, p, means[0], means[1], means[2])
@@ -345,7 +350,7 @@ def ensemble_moments(scenario, p: float, n_paths: int,
     )
     c2 = float(lhs_v / v0_scale)
     return EnsembleReport(
-        p=p, n_paths=n_paths, stats=stats, c0_ratio=c0, c2_ratio=c2
+        p=p, n_paths=len(rows), stats=stats, c0_ratio=c0, c2_ratio=c2
     )
 
 

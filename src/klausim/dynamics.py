@@ -28,7 +28,6 @@ roots and powers on scalars.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -464,15 +463,16 @@ def step_decoupled(
 
 
 def _drive(state, solver, n_steps, step, increments, paths=None):
-    """Apply `step` n_steps times from `state`, yielding (new state, points
-    clipped to zero) after each; step(state, n, dw1, dw2) takes the noise
-    increments(n) returns.  The per-step policy for every caller: a Newton
-    failure gets the step index, nonneg_policy=project clips negative values
-    to zero, and a non-finite state aborts the run.  A state holding a batch
-    of paths gets the same policy on every row, and a failing row keeps its
-    index; `paths()`, if given, returns the global path index of each row
-    the step is given, and the error carries its row's as `path`."""
+    """Apply `step` n_steps times from `state`, yielding (state, points
+    clipped to zero) at the start and after each step; step(state, n, dw1,
+    dw2) takes the noise increments(n) returns.  The per-step policy for
+    every caller: a Newton failure gets the step index, nonneg_policy=project
+    clips negative values to zero, and a non-finite state aborts the run.  A
+    batch of paths gets the same policy on every row, and a failing row keeps
+    its index; `paths()`, if given, returns the global path index of each
+    row the step is given, and the error carries its row's as `path`."""
     project = solver.nonneg_policy == "project"
+    yield state, 0
     for n in range(n_steps):
         dw1, dw2 = increments(n)
         try:
@@ -508,16 +508,15 @@ def _drive(state, solver, n_steps, step, increments, paths=None):
 
 def _run_paths(scenario, paths, observe) -> CoupledState:
     """Step paths `paths` (an int array of path indices) of `scenario` from
-    its initial fields as one batch of coupled steps; each row draws its
-    path's noise of its rung at the rung's local step, and ends bit for bit
-    as that path stepped alone.  A Newton failure names its path.
+    its initial fields as one batch of coupled steps.  Each row draws its
+    path's noise of its rung at the rung's local step and ends bit for bit
+    as that path stepped alone; a Newton failure names its path.
 
-    observe(n, u, v, live, rung) sees the batch u, v after n steps, n = 0 to
-    solver.n_steps, with the rows `live` that step next and each row's rung.
-    It returns the rows that go on and, among them, those that start their
-    next rung at step n on fresh (path, rung) streams.  The run stops once
-    no row goes on; a stopped row keeps its state.  Returns the last state.
-    """
+    observe(n, u, v, live, rung) sees the batch after n steps, n = 0 to
+    solver.n_steps, the rows `live` that step next and each row's rung.  It
+    returns the rows that go on and those among them that start their next
+    rung at step n, on fresh (path, rung) streams; the run stops once no row
+    goes on, and a stopped row keeps its state.  Returns the last state."""
     basis, model, solver, spec = (scenario.basis, scenario.model,
                                   scenario.solver, scenario.noise)
     drift1, drift2 = _mult_drifts(basis, model, spec, None)
@@ -539,9 +538,8 @@ def _run_paths(scenario, paths, observe) -> CoupledState:
 
     state = CoupledState(*(np.repeat(f[None], len(paths), axis=0)
                            for f in (scenario.u0, scenario.v0)), 0.0)
-    records = _drive(state, solver, solver.n_steps, step, increments,
-                     lambda: paths[live])
-    for n, (state, _) in enumerate(itertools.chain([(state, 0)], records)):
+    for n, (state, _) in enumerate(_drive(state, solver, solver.n_steps, step,
+                                          increments, lambda: paths[live])):
         live, climb = observe(n, state.u, state.v, live, rung)
         if len(climb):
             rung[climb] += 1
@@ -624,13 +622,12 @@ def _record_run(basis, u0, v0, model, solver, step, increments, cutoff,
             snapshots_u.append(u[0].copy())
             snapshots_v.append(v[0].copy())
 
-    record(0, u, v)
     projected = 0
     for n, (state, clipped) in enumerate(_drive(
         CoupledState(u, v, 0.0), solver, n_steps, step, increments
     )):
         projected += clipped
-        record(n + 1, state.u, state.v)
+        record(n, state.u, state.v)
 
     ledger = np.array(rows, dtype=float)[:, :, 0]  # (record, column)
     columns = dict(zip(Trajectory.NORM_COLUMNS[:-1], ledger.T))

@@ -475,12 +475,11 @@ def exit_tail(scenario, kappas: Sequence[float],
     1, 2, ..., kappa; below each threshold the truncated dynamics equal the
     plain coupled dynamics (phi = 1), so each rung is sampled by direct
     stepping, all paths at once.  Rung substreams are keyed by (path, rung),
-    so a path crosses a level at the same step in every ladder holding it:
-    one `_exit_steps` pass over the longest ladder serves every ladder that
-    is a prefix of it (a non-integer kappa heads its own), and the tail
-    probability is monotone in kappa by construction, as the Markov bound
-    requires.  A path that exits its last rung at the horizon step is not
-    counted.
+    so a path crosses a level at the same step in every ladder holding it,
+    and one `_exit_steps` pass serves every ladder that is a prefix of the
+    pass's (a non-integer kappa heads its own); the tail probability is
+    monotone in kappa by construction, as the Markov bound requires.  A path
+    that exits its last rung at the horizon step is not counted.
     """
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
@@ -499,10 +498,9 @@ def exit_tail(scenario, kappas: Sequence[float],
     for kappa, ladder in zip(kappas, ladders):
         p_hat = exits[ladder] / n_paths
         stderr = float(np.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n_paths))
-        results.append(ExitProbeResult(
-            kappa=float(kappa), n_paths=n_paths, p_hat=p_hat,
-            stderr=stderr, exit_counts=exits[ladder],
-        ))
+        results.append(ExitProbeResult(kappa=float(kappa), n_paths=n_paths,
+                                       p_hat=p_hat, stderr=stderr,
+                                       exit_counts=exits[ladder]))
     return results
 
 

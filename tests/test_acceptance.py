@@ -14,6 +14,8 @@ from klausim.basis import build_basis
 from klausim.cli import apply_overrides, default_config, run
 from klausim.diagnostics import (
     HypothesisParams,
+    _ensemble_report,
+    _ensemble_rows,
     ensemble_moments,
     uniqueness_experiment,
     validate_hypotheses,
@@ -255,8 +257,11 @@ def test_criterion_11_moment_bound_monitor():
         basis, model, solver, noise, default_cutoff(), default_hypothesis(),
         bump_field(basis, 0.2, 0.2), bump_field(basis, 0.15, 0.15, center=0.3),
     )
-    base = ensemble_moments(sc, p=1.0, n_paths=200)
-    double = ensemble_moments(sc, p=1.0, n_paths=400)
+    # paths 0-199 are the first 200 of the 400 rows; their report equals
+    # ensemble_moments(sc, 1.0, 200) bit for bit (test_ensemble_batch.py)
+    rows = _ensemble_rows(sc, 1.0, range(400), 1)
+    base = _ensemble_report(sc, 1.0, rows[:200])
+    double = _ensemble_report(sc, 1.0, rows)
     sc_fine = dataclasses.replace(
         sc, solver=dataclasses.replace(solver, dt=5e-4)
     )

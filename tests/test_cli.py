@@ -594,6 +594,10 @@ def test_non_finite_float_fails_by_key(tmp_path, key, value):
     ("simulate", "hypothesis.rho=3"),
     ("simulate", "run.seed=-1"),
     ("picard", "run.picard_max_iter=0"),
+    ("simulate", "cutoff.nu=1"),
+    ("simulate", "hypothesis.p0_star=1"),
+    ("simulate", "initial.preset=perturbed-homogeneous"),
+    ("ensemble", "run.paths=50"),
 ])
 def test_value_outside_domain_fails_by_key(tmp_path, subcommand, override):
     out = tmp_path / "out"

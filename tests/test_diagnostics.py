@@ -8,6 +8,7 @@ import pytest
 from klausim.basis import build_basis
 from klausim.diagnostics import (
     HypothesisParams,
+    _ensemble_report,
     _ensemble_rows,
     energy_monitor,
     ensemble_moments,
@@ -171,9 +172,13 @@ def test_ensemble_stderr_clt_scaling():
 
 def test_ensemble_permutation_invariance():
     sc = coarse_scenario(seed=33)
-    fwd = _ensemble_rows(sc, 1.0, range(100), 1)
-    perm = _ensemble_rows(sc, 1.0, list(reversed(range(100))), 1)
-    assert fwd.mean(axis=0) == pytest.approx(perm.mean(axis=0), rel=1e-12)
+    fwd = _ensemble_report(sc, 1.0, _ensemble_rows(sc, 1.0, range(100), 1))
+    perm = _ensemble_report(
+        sc, 1.0, _ensemble_rows(sc, 1.0, list(reversed(range(100))), 1))
+    for name in fwd.stats:
+        assert fwd.stats[name].mean == pytest.approx(
+            perm.stats[name].mean, rel=1e-12
+        )
 
 
 def test_ensemble_parallel_matches_serial():

@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 from klausim.basis import build_basis
-from klausim.diagnostics import HypothesisParams, _ensemble_rows, energy_monitor
+from klausim.diagnostics import (
+    HypothesisParams,
+    _ensemble_report,
+    _ensemble_rows,
+    energy_monitor,
+    ensemble_moments,
+)
 from klausim.dynamics import ModelConfig, SolverConfig, _run_paths, simulate_path
 from klausim.fields import gradient_squared, lp_norm, sobolev_norm
 from klausim.fixedpoint import CutoffParams
@@ -132,6 +138,16 @@ def test_two_dimensional_neumann_matches_serial():
     rows = _ensemble_rows(sc, 1.0, [2, 0], 1)
     for row, i in zip(rows, [2, 0]):
         assert np.array_equal(row, serial_statistics(sc, 1.0, i))
+
+
+def test_report_from_leading_rows_matches_ensemble_moments():
+    """The report of the first 100 rows of a 130-path run equals the
+    100-path ensemble bit for bit: the rows are keyed by path index, and a
+    C-order row prefix reduces as a fresh array does."""
+    sc = scenario(t_final=0.01)
+    rows = _ensemble_rows(sc, 1.0, range(130), 1)
+    assert _ensemble_report(sc, 1.0, rows[:100]) == ensemble_moments(
+        sc, 1.0, 100)
 
 
 @pytest.mark.parametrize("d, boundary", [(1, "periodic"), (1, "neumann"),
