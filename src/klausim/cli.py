@@ -480,7 +480,7 @@ def _cmd_glue(cfg, sc, out_dir, header, workers):
 def _cmd_ensemble(cfg, sc, out_dir, header, workers):
     n_paths = cfg.get("run", "paths")  # the key admits fewer for noise-selftest
     if n_paths < 100:
-        raise ConfigError(f"run.paths={n_paths} must be at least 100 here")
+        raise ConfigError(f"run.paths={n_paths} must be at least 100 for ensemble")
     report = diagnostics.ensemble_moments(
         sc, p=cfg.get("run", "p"), n_paths=n_paths, workers=workers,
     )

@@ -513,10 +513,10 @@ def _run_paths(scenario, paths, observe) -> CoupledState:
     as that path stepped alone; a Newton failure names its path.
 
     observe(n, u, v, live, rung) sees the batch after n steps, n = 0 to
-    solver.n_steps, the rows `live` that step next and each row's rung.  It
-    returns the rows that go on and those among them that start their next
-    rung at step n, on fresh (path, rung) streams; the run stops once no row
-    goes on, and a stopped row keeps its state.  Returns the last state."""
+    solver.n_steps, in arrays later steps overwrite; `live` are the rows
+    that step next.  It returns the rows that go on and those of them that
+    start their next rung at step n, on fresh (path, rung) streams.  No row
+    going on ends the run; the returned state keeps each stopped row's."""
     basis, model, solver, spec = (scenario.basis, scenario.model,
                                   scenario.solver, scenario.noise)
     drift1, drift2 = _mult_drifts(basis, model, spec, None)

@@ -123,7 +123,7 @@ def test_criterion_04_noise_statistics():
 
 def test_criterion_05_nonnegativity_ensemble():
     # the 50 paths step as one batch; each row's minima equal its path's
-    # serial simulate_path run (test_ensemble_batch.py)
+    # serial simulate_path run (test_diagnostics.py)
     sc = nonneg_scenario(seed=505, n=128, dt=1e-3)
     minima = np.full((2, 50), np.inf)
 
@@ -191,7 +191,7 @@ def test_criterion_07_truncation_consistency(picard_setup):
 def test_criterion_08_stopping_time_tail():
     sc = exit_scenario(seed=808)
     kappas = [1.0, 2.0, 4.0, 8.0]
-    # one pass over the kappa=8 ladder; test_exit_batch.py checks it against
+    # one pass over the kappa=8 ladder; test_fixedpoint.py checks it against
     # one exit_prob_estimate call per kappa
     estimates = exit_tail(sc, kappas, 500)
     p_hats = [e.p_hat for e in estimates]
@@ -258,7 +258,7 @@ def test_criterion_11_moment_bound_monitor():
         bump_field(basis, 0.2, 0.2), bump_field(basis, 0.15, 0.15, center=0.3),
     )
     # paths 0-199 are the first 200 of the 400 rows; their report equals
-    # ensemble_moments(sc, 1.0, 200) bit for bit (test_ensemble_batch.py)
+    # ensemble_moments(sc, 1.0, 200) bit for bit (test_diagnostics.py)
     rows = _ensemble_rows(sc, 1.0, range(400), 1)
     base = _ensemble_report(sc, 1.0, rows[:200])
     double = _ensemble_report(sc, 1.0, rows)

@@ -17,13 +17,14 @@ from klausim.diagnostics import (
     validate_hypotheses,
     weak_norm_distance,
 )
-from klausim.dynamics import ModelConfig, SolverConfig, simulate_path
-from klausim.noise import NoiseSpec
+from klausim.dynamics import ModelConfig, SolverConfig, _run_paths, simulate_path
+from klausim.noise import NoiseSpec, generate_path
 from klausim.scenarios import (
     Scenario,
     bump_field,
     default_cutoff,
     default_hypothesis,
+    nonneg_scenario,
     small_data_scenario,
     uniqueness_scenario,
 )
@@ -205,6 +206,18 @@ def test_ensemble_c0_affine_in_initial_data():
     assert 0.25 <= ratio <= 4.0
 
 
+def test_report_from_leading_rows_matches_ensemble_moments():
+    """The report of the first 100 rows of a 130-path run equals the
+    100-path ensemble bit for bit: the rows are keyed by path index, and a
+    C-order row prefix reduces as a fresh array does."""
+    sc = coarse_scenario(seed=66)
+    sc = dataclasses.replace(
+        sc, solver=dataclasses.replace(sc.solver, t_final=0.01))
+    rows = _ensemble_rows(sc, 1.0, range(130), 1)
+    assert _ensemble_report(sc, 1.0, rows[:100]) == ensemble_moments(
+        sc, 1.0, 100)
+
+
 # ------------------------------------------------------------- uniqueness
 
 
@@ -260,6 +273,29 @@ def test_nonneg_monitor_default_scenario():
     traj = simulate_path(sc.basis, sc.u0, sc.v0, sc.model, sc.solver, path)
     report = nonneg_monitor(traj)
     assert report.ok
+
+
+def test_runner_minima_match_serial_loop():
+    """Criterion 05's audit: the batch's per-record minima of u and v on
+    each row equal the min_u and min_v columns of its path's serial run."""
+    sc = nonneg_scenario(seed=505, n=128, dt=1e-3)
+    sc = dataclasses.replace(
+        sc, solver=dataclasses.replace(sc.solver, t_final=0.05))
+    records = []
+
+    def audit(n, u, v, live, rung):
+        records.append((u.min(axis=1), v.min(axis=1)))
+        return live, ()
+
+    _run_paths(sc, np.arange(4), audit)
+    minima = np.array(records)  # (record, field, path)
+    for i in range(4):
+        path = generate_path(sc.noise, sc.basis, sc.solver.dt,
+                             sc.solver.n_steps, path_index=i)
+        traj = simulate_path(sc.basis, sc.u0, sc.v0, sc.model, sc.solver,
+                             path)
+        assert np.array_equal(minima[:, 0, i], traj.norms["min_u"])
+        assert np.array_equal(minima[:, 1, i], traj.norms["min_v"])
 
 
 def test_nonneg_negative_region_smooths_upward():

@@ -15,18 +15,12 @@ import numpy as np
 import pytest
 
 from klausim.basis import build_basis
-from klausim.diagnostics import (
-    HypothesisParams,
-    _ensemble_report,
-    _ensemble_rows,
-    energy_monitor,
-    ensemble_moments,
-)
-from klausim.dynamics import ModelConfig, SolverConfig, _run_paths, simulate_path
+from klausim.diagnostics import HypothesisParams, _ensemble_rows, energy_monitor
+from klausim.dynamics import ModelConfig, SolverConfig, simulate_path
 from klausim.fields import gradient_squared, lp_norm, sobolev_norm
 from klausim.fixedpoint import CutoffParams
 from klausim.noise import NoiseSpec, generate_path
-from klausim.scenarios import Scenario, bump_field, nonneg_scenario
+from klausim.scenarios import Scenario, bump_field
 
 
 def serial_energy(traj, p, model, basis):
@@ -140,16 +134,6 @@ def test_two_dimensional_neumann_matches_serial():
         assert np.array_equal(row, serial_statistics(sc, 1.0, i))
 
 
-def test_report_from_leading_rows_matches_ensemble_moments():
-    """The report of the first 100 rows of a 130-path run equals the
-    100-path ensemble bit for bit: the rows are keyed by path index, and a
-    C-order row prefix reduces as a fresh array does."""
-    sc = scenario(t_final=0.01)
-    rows = _ensemble_rows(sc, 1.0, range(130), 1)
-    assert _ensemble_report(sc, 1.0, rows[:100]) == ensemble_moments(
-        sc, 1.0, 100)
-
-
 @pytest.mark.parametrize("d, boundary", [(1, "periodic"), (1, "neumann"),
                                          (2, "neumann")])
 @pytest.mark.parametrize("p", [1.0, 2.5])
@@ -169,26 +153,3 @@ def test_energy_monitor_matches_lone_fields(d, boundary, p):
     assert np.array_equal(ledger.dissipation, dissipation)
     assert np.array_equal(ledger.coupling, coupling)
     assert dissipation[-1] > 0.0 and coupling[-1] > 0.0
-
-
-def test_runner_minima_match_serial_loop():
-    """Criterion 05's audit: the batch's per-record minima of u and v on
-    each row equal the min_u and min_v columns of its path's serial run."""
-    sc = nonneg_scenario(seed=505, n=128, dt=1e-3)
-    sc = dataclasses.replace(
-        sc, solver=dataclasses.replace(sc.solver, t_final=0.05))
-    records = []
-
-    def audit(n, u, v, live, rung):
-        records.append((u.min(axis=1), v.min(axis=1)))
-        return live, ()
-
-    _run_paths(sc, np.arange(4), audit)
-    minima = np.array(records)  # (record, field, path)
-    for i in range(4):
-        path = generate_path(sc.noise, sc.basis, sc.solver.dt,
-                             sc.solver.n_steps, path_index=i)
-        traj = simulate_path(sc.basis, sc.u0, sc.v0, sc.model, sc.solver,
-                             path)
-        assert np.array_equal(minima[:, 0, i], traj.norms["min_u"])
-        assert np.array_equal(minima[:, 1, i], traj.norms["min_v"])

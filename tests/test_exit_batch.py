@@ -21,12 +21,7 @@ from klausim.dynamics import (
     step_coupled,
 )
 from klausim.fields import lp_norm
-from klausim.fixedpoint import (
-    _exit_ladder,
-    _exit_steps,
-    exit_prob_estimate,
-    exit_tail,
-)
+from klausim.fixedpoint import _exit_ladder, _exit_steps, exit_prob_estimate
 from klausim.noise import sample_increments
 from klausim.scenarios import bump_field, exit_scenario
 
@@ -121,18 +116,6 @@ def test_multi_rung_ladder_matches_serial():
     crossings, _ = assert_batch_matches_serial(sc, levels, 24)
     reached = (crossings > 0).sum(axis=0)
     assert reached[-1] > 0 and reached[-1] < reached[0]
-
-
-def test_exit_tail_matches_one_estimate_per_kappa():
-    """exit_tail steps kappa 1, 2 and 4 in one pass over the ladder 1, 2, 3,
-    4; 0.75 and 2.5 head their own passes.  Every estimate equals that of a
-    separate exit_prob_estimate pass over its own ladder."""
-    sc = exit_scenario(seed=808, n=16, t_final=0.5)
-    sc = dataclasses.replace(sc, v0=1.2 * sc.v0)
-    kappas = [0.75, 1, 2, 2.5, 4]
-    tail = exit_tail(sc, kappas, 100)
-    assert tail == [exit_prob_estimate(sc, k, 100) for k in kappas]
-    assert [r.exit_counts for r in tail] == [100, 100, 99, 72, 16]
 
 
 def test_horizon_crossing_on_last_rung_not_counted():

@@ -1,5 +1,7 @@
 """Cutoff, norm budget, Picard iteration, stopping times, and gluing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from klausim.fixedpoint import (
     cutoff_phi,
     default_nu,
     exit_prob_estimate,
+    exit_tail,
     first_exit_time,
     fit_tail_constant,
     glue_simulate,
@@ -555,6 +558,18 @@ def test_exit_prob_monotone_in_kappa():
     assert all(c / k >= p - 1e-12 for k, p in zip(kappas, probs))
     # frozen after the first verified run (substreams are deterministic)
     assert probs == pytest.approx([1.0, 0.28, 0.0], abs=0.05)
+
+
+def test_exit_tail_matches_one_estimate_per_kappa():
+    """exit_tail steps kappa 1, 2 and 4 in one pass over the ladder 1, 2, 3,
+    4; 0.75 and 2.5 head their own passes.  Every estimate equals that of a
+    separate exit_prob_estimate pass over its own ladder."""
+    sc = exit_scenario(seed=808, n=16, t_final=0.5)
+    sc = dataclasses.replace(sc, v0=1.2 * sc.v0)
+    kappas = [0.75, 1, 2, 2.5, 4]
+    tail = exit_tail(sc, kappas, 100)
+    assert tail == [exit_prob_estimate(sc, k, 100) for k in kappas]
+    assert [r.exit_counts for r in tail] == [100, 100, 99, 72, 16]
 
 
 def test_exit_prob_rejects_small_sample():
