@@ -286,14 +286,3 @@ def weyl_count(basis: SpectralBasis, lam: float) -> int:
         raise ValueError("lambda must be nonnegative")
     return int(np.searchsorted(basis.eigenvalues, lam, side="right"))
 
-
-def weyl_bound_constant(basis: SpectralBasis) -> float:
-    """Fitted C with #{nu_j <= lam} <= C lam^{d/2} over the retained range.
-
-    Reported, never asserted against a literature constant.
-    """
-    lams = basis.eigenvalues[basis.eigenvalues > 0]
-    if lams.size == 0:
-        return float("nan")
-    counts = np.array([weyl_count(basis, lam) for lam in lams], dtype=float)
-    return float(np.max(counts / lams ** (basis.dimension / 2.0)))

@@ -29,11 +29,11 @@ roots and powers on scalars.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .basis import SpectralBasis, analyze, apply_laplacian, synthesize
 from .fields import _lp_rows, power_gamma, sobolev_norm
@@ -48,6 +48,20 @@ _DENSE_LIMIT = 256
 # a batch of paths solves its dense Newton systems as stacks of at most
 # this many bytes of Jacobians (32 of them at the limit, 2048 at d=1 N=32)
 _LU_STACK_BYTES = 1 << 24
+
+
+def __getattr__(name):
+    """Bind scipy's gmres and LinearOperator here on first use: only the
+    Krylov branch of _newton needs them, and loading scipy costs a d=1 run a
+    third of its memory.  A binding already present (a wrapped or patched
+    gmres) is kept."""
+    if name not in ("gmres", "LinearOperator"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.sparse import linalg
+
+    for attr in ("gmres", "LinearOperator"):
+        globals().setdefault(attr, getattr(linalg, attr))
+    return globals()[name]
 
 
 class NewtonError(RuntimeError):
@@ -241,6 +255,7 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
             return np.linalg.solve(jac, -res[..., None])[..., 0]
     else:
         block = 1
+        krylov = sys.modules[__name__]  # looked up per call: see __getattr__
 
         def apply_lap(z):
             grid = z.reshape(z.shape[:-1] + basis.grid_shape)
@@ -256,12 +271,12 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
                 coeffs = analyze(basis, z.reshape(basis.grid_shape))
                 return z + synthesize(basis, coeffs * (scale - 1.0)).reshape(-1)
 
-            jac = LinearOperator(
+            jac = krylov.LinearOperator(
                 (n, n), matvec=lambda z: z - coef * apply_lap(deriv * z)
             )
-            precond = LinearOperator((n, n), matvec=pmv)
-            delta, info = gmres(jac, -res, rtol=1e-10, atol=0.0, M=precond,
-                                maxiter=200)
+            precond = krylov.LinearOperator((n, n), matvec=pmv)
+            delta, info = krylov.gmres(jac, -res, rtol=1e-10, atol=0.0,
+                                       M=precond, maxiter=200)
             if info != 0:
                 raise np.linalg.LinAlgError(f"inner GMRES failed (info={info})")
             return delta[None]

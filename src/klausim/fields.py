@@ -2,9 +2,8 @@
 
 Fields are plain numpy arrays shaped (N,)*d on the unit box with mesh
 spacing h = 1/N per axis, so the rectangle rule for integrals reduces to a
-mean over entries.  Negative-order Sobolev norms are computed spectrally on
-the retained band; the projection residual is available separately because
-the retained modes may not capture all grid content.
+mean over entries.  Sobolev norms are computed spectrally on the retained
+band, so grid content outside the retained modes does not enter them.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import math
 
 import numpy as np
 
-from .basis import SpectralBasis, analyze, synthesize
+from .basis import SpectralBasis, analyze
 
 
 def power_gamma(values, gamma: float):
@@ -45,17 +44,12 @@ def _lp_rows(rows: np.ndarray, p: float) -> list[float]:
     return [m ** (1.0 / p) for m in means]
 
 
-def inner_product(f: np.ndarray, g: np.ndarray) -> float:
-    """Rectangle-rule L^2 inner product."""
-    return float(np.mean(np.asarray(f) * np.asarray(g)))
-
-
 def sobolev_norm(basis: SpectralBasis, values: np.ndarray, s: float) -> float:
     """Spectral H^s norm (sum_k (1+nu_k)^s |c_k|^2)^(1/2), s in [-2, 2].
 
     The (1 + nu_k) weight shifts the zero mode so that negative orders stay
     finite on fields with mean.  The field is first projected onto the
-    retained band; use `projection_residual` to inspect what was dropped.
+    retained band, so content outside the retained modes does not count.
     A stack of fields (P,) + grid gives an array of P norms, each bit for bit
     the norm of its field alone.
     """
@@ -67,18 +61,15 @@ def sobolev_norm(basis: SpectralBasis, values: np.ndarray, s: float) -> float:
     return norms if norms.ndim else float(norms)
 
 
-def projection_residual(basis: SpectralBasis, values: np.ndarray) -> float:
-    """L^2 norm of the part of the field outside the retained band."""
-    recon = synthesize(basis, analyze(basis, values))
-    return lp_norm(np.asarray(values) - recon, 2.0)
-
-
 def pm_inequality_gap(x, y, gamma: float):
     """Slack of (x^[g] - y^[g])(x - y) >= 2^(1-g) |x - y|^(g+1).
 
-    Nonnegative for every real x, y and gamma > 1 (up to rounding); the
-    degenerate-diffusion coercivity estimate used by the implicit solver
-    rests on it.
+    Nonnegative for every real x, y and gamma > 1, up to rounding relative
+    to the gap itself; the degenerate-diffusion coercivity estimate used by
+    the implicit solver rests on it.  With opposite signs the two sides meet
+    at x = -y and their difference would cancel to rounding noise of their
+    size, so there the gap is taken as s (s/2)^g ((1+t)^g + (1-t)^g - 2),
+    s = |x - y|, t = (|x| - |y|) / s, the bracket through expm1 and log1p.
     """
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma <= 1.0):
@@ -86,9 +77,15 @@ def pm_inequality_gap(x, y, gamma: float):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     signed_pow = lambda z: np.sign(z) * np.abs(z) ** gamma
+    s = np.abs(x - y)
     lhs = (signed_pow(x) - signed_pow(y)) * (x - y)
-    rhs = 2.0 ** (1.0 - gamma) * np.abs(x - y) ** (gamma + 1.0)
-    gap = lhs - rhs
+    gap = lhs - 2.0 ** (1.0 - gamma) * s ** (gamma + 1.0)
+    # t = 0/0 at x = y goes unused; log1p(-1) = -inf, when t rounds to +-1,
+    # gives expm1's exact -1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (np.abs(x) - np.abs(y)) / s
+        bracket = np.expm1(gamma * np.log1p(t)) + np.expm1(gamma * np.log1p(-t))
+    gap = np.where(x * y < 0, s * (s / 2.0) ** gamma * bracket, gap)
     return gap if gap.ndim else float(gap)
 
 

@@ -18,6 +18,7 @@ exhausted the decoupled extension dynamics take over.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -421,13 +422,7 @@ class ExitProbeResult:
 
 def _exit_ladder(kappa: float) -> list[float]:
     """Thresholds 1, 2, ..., capped at kappa (a single rung when kappa < 1)."""
-    levels = []
-    j = 1.0
-    while j < kappa:
-        levels.append(j)
-        j += 1.0
-    levels.append(float(kappa))
-    return levels
+    return [float(j) for j in range(1, math.ceil(kappa))] + [float(kappa)]
 
 
 def _exit_steps(scenario, levels: Sequence[float], n_paths: int):
@@ -479,19 +474,25 @@ def exit_tail(scenario, kappas: Sequence[float],
     and one `_exit_steps` pass serves every ladder that is a prefix of the
     pass's (a non-integer kappa heads its own); the tail probability is
     monotone in kappa by construction, as the Markov bound requires.  A path
-    that exits its last rung at the horizon step is not counted.
+    that exits its last rung at the horizon step is not counted, and a
+    ladder too long to exit inside the horizon counts none unstepped.
     """
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
-    if not all(k > 0 for k in kappas):
-        raise ValueError("kappa must be positive")
-    ladders = [tuple(_exit_ladder(k)) for k in kappas]
+    for k in kappas:
+        if not (k > 0 and math.isfinite(k)):
+            raise ValueError(f"kappa must be positive and finite, got {k}")
     n_total = scenario.solver.n_steps
-    exits = {}  # ladder -> paths crossing its last level inside (0, T)
-    for top in sorted(set(ladders), key=len, reverse=True):
+    # a path crosses at most one level per step and none at step 0, so the
+    # last of n_total or more levels is never crossed inside (0, T)
+    ladders = [tuple(_exit_ladder(k)) if math.ceil(k) < n_total else None
+               for k in kappas]
+    exits = {None: 0}  # ladder -> paths crossing its last level inside (0, T)
+    for top in sorted(set(ladders) - {None}, key=len, reverse=True):
         if top not in exits:  # one pass serves every prefix of `top`
             crossings, _ = _exit_steps(scenario, top, n_paths)
-            for lad in (lad for lad in ladders if top[:len(lad)] == lad):
+            for lad in (lad for lad in ladders
+                        if lad is not None and top[:len(lad)] == lad):
                 at = crossings[:, len(lad) - 1]
                 exits[lad] = int(np.count_nonzero((at > 0) & (at < n_total)))
     results = []

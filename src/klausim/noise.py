@@ -318,25 +318,6 @@ def stratonovich_correction(
     return 0.5 * sigma**2 * expand(basis, lam**2, basis.axis_table**2)
 
 
-def unit_trace_spec(spec: NoiseSpec, basis: SpectralBasis) -> NoiseSpec:
-    """Rescale both channels so that sum_k lambda_k^2 = 1.
-
-    The moment-ratio self-check is scale-covariant (the ratio picks up a
-    factor trace^(p/2)); normalizing makes the reported number comparable
-    across parameter choices.  Degenerate channels are left untouched.
-    """
-    import dataclasses
-
-    tr1, tr2 = spec.trace(basis, 1), spec.trace(basis, 2)
-    return dataclasses.replace(
-        spec,
-        c1=spec.c1 / np.sqrt(tr1) if tr1 > 0 else spec.c1,
-        c2=spec.c2 / np.sqrt(tr2) if tr2 > 0 else spec.c2,
-        lambdas1=None if spec.lambdas1 is None else spec.lambdas1 / np.sqrt(tr1),
-        lambdas2=None if spec.lambdas2 is None else spec.lambdas2 / np.sqrt(tr2),
-    )
-
-
 @dataclass
 class BdgReport:
     p: float

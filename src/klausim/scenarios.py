@@ -158,19 +158,3 @@ def uniqueness_scenario(seed: int = 0, n: int = 64) -> Scenario:
     return Scenario(basis, model, solver, noise, default_cutoff(),
                     default_hypothesis(), u0, v0)
 
-
-def pattern_scenario(seed: int = 0, n: int = 128) -> Scenario:
-    """Deterministic vegetation run: perturbed equilibrium with rain terms."""
-    basis = build_basis(1, "periodic", n, n - 1)
-    model = ModelConfig(
-        r_u=1.0, r_v=0.01, chi=1.0, gamma=2.5, k=2.0, f=1.0, g=0.45,
-        sigma1=0.0, sigma2=0.0,
-    )
-    solver = SolverConfig(dt=1e-3, t_final=2.0, snapshot_stride=200)
-    noise = NoiseSpec(c1=0.0, c2=0.0, seed=seed)
-    u0, v0 = perturbed_homogeneous_fields(basis, model)
-    hp = default_hypothesis(gamma=model.gamma)
-    return Scenario(
-        basis, model, solver, noise, default_cutoff(gamma=model.gamma), hp,
-        u0, v0,
-    )

@@ -12,9 +12,10 @@ from klausim.basis import (
     build_basis,
     resolvable_modes,
     synthesize,
-    weyl_bound_constant,
     weyl_count,
 )
+
+from helpers import weyl_bound_constant
 
 PI2 = np.pi**2
 

@@ -395,7 +395,7 @@ def test_strong_self_convergence_order(per64):
 
 def test_deterministic_vegetation_run_bounded():
     """Perturbed equilibrium with rain terms stays bounded (regression)."""
-    from klausim.scenarios import pattern_scenario
+    from helpers import pattern_scenario
 
     sc = pattern_scenario(seed=0)
     traj = simulate_path(sc.basis, sc.u0, sc.v0, sc.model, sc.solver, None)

@@ -2,19 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from klausim.basis import build_basis, synthesize
 from klausim.fields import (
     gradient_squared,
-    inner_product,
     lp_norm,
     pm_inequality_gap,
     power_gamma,
-    projection_residual,
     sobolev_norm,
 )
+
+from helpers import inner_product, projection_residual
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +131,8 @@ def test_pm_gap_examples():
     y=st.floats(-100, 100),
     gamma=st.floats(1.01, 5.0),
 )
+@example(x=97.0, y=-96.99999999999999, gamma=2.0)  # x = -y to an ulp,
+@example(x=100.0, y=-99.99999999999999, gamma=5.0)  # where the sides cancel
 def test_pm_gap_nonnegative_property(x, y, gamma):
     assert pm_inequality_gap(x, y, gamma) >= -1e-12
 

@@ -1,6 +1,8 @@
 """Cutoff, norm budget, Picard iteration, stopping times, and gluing."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from klausim.dynamics import (
 from klausim.fields import lp_norm
 from klausim.fixedpoint import (
     CutoffParams,
+    _exit_ladder,
+    _exit_steps,
     FrozenPair,
     PicardError,
     apply_V,
@@ -543,10 +547,43 @@ def test_glue_rejects_bad_ladder(small):
 
 def test_exit_prob_extremes():
     sc = exit_scenario(seed=5, t_final=0.2)
-    huge = exit_prob_estimate(sc, 1e6, 100)
+    # a million rungs in 100 steps: no path can exit, and nothing is sized
+    # by the ladder
+    tracemalloc.start()
+    try:
+        huge = exit_prob_estimate(sc, 1e6, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert huge.p_hat == 0.0
+    assert peak < 50e6
     tiny = exit_prob_estimate(sc, 1e-9, 100)
     assert tiny.p_hat == 1.0
+
+
+@pytest.mark.parametrize("kappa", [math.inf, math.nan, -1.0, 0.0])
+def test_exit_tail_rejects_kappa_outside_domain(kappa):
+    sc = exit_scenario(seed=5, t_final=0.2)
+    with pytest.raises(ValueError, match="kappa"):
+        exit_tail(sc, [kappa], 100)
+
+
+def test_exit_tail_at_the_horizon_matches_full_ladders():
+    """Over 5 steps every path crosses one level per step, so levels 1-4
+    count and a fifth level, crossed at the horizon step, does not.  Ladders
+    of 5 or more levels are not stepped and count what stepping each whole
+    ladder counts."""
+    sc = exit_scenario(seed=808, n=16, t_final=0.01)
+    sc = dataclasses.replace(sc, u0=3.0 * sc.u0, v0=3.0 * sc.v0)
+    n_total = sc.solver.n_steps
+    kappas = [2, 3, 4, 4.5, 5, 7]
+    full = []
+    for k in kappas:
+        crossings, _ = _exit_steps(sc, _exit_ladder(k), 100)
+        at = crossings[:, -1]
+        full.append(int(np.count_nonzero((at > 0) & (at < n_total))))
+    assert [r.exit_counts for r in exit_tail(sc, kappas, 100)] == full
+    assert full == [100, 100, 100, 0, 0, 0]
 
 
 def test_exit_prob_monotone_in_kappa():

@@ -14,9 +14,10 @@ from klausim.noise import (
     mode_normals,
     sample_increments,
     stratonovich_correction,
-    unit_trace_spec,
     validate_noise,
 )
+
+from helpers import unit_trace_spec
 
 
 @pytest.fixture(scope="module")
