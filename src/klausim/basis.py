@@ -16,6 +16,9 @@ Grids are uniform with spacing h = 1/N per axis.  Periodic bases sample at
 x_i = i/N, Neumann bases at the cell midpoints x_i = (i + 1/2)/N; on those
 grids the rectangle rule integrates products of retained modes exactly, so
 discrete orthonormality holds to rounding.
+
+`analyze` and `synthesize` take a field or a stack of fields along a leading
+axis; a lone field is a stack of one, so a row is bit for bit its lone call.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ class SpectralBasis:
     of per-axis products.  The transforms contract one axis at a time with
     `axis_table`, so a call costs d r N^d and the basis stores r N numbers.
     In d = 1 the band is the first r axis modes in order (r = n_modes), so
-    `axis_table` is the mode table itself and no gather is needed.
+    `axis_table` is the mode table itself and `band_positions` is 0..r-1.
 
     Immutable after construction; safe to share across workers.
     """
@@ -200,33 +203,40 @@ def build_basis(d: int, boundary: str, n: int, n_modes: int) -> SpectralBasis:
     )
 
 
-def _contract(values: np.ndarray, mat: np.ndarray, d: int) -> np.ndarray:
-    """Apply `mat` (m, n) along every axis of an (n,)*d tensor, flattened.
+def _contract(rows: np.ndarray, mat: np.ndarray, d: int) -> np.ndarray:
+    """Apply `mat` (m, n) along every axis of each (n,)*d tensor in `rows`.
 
-    Last axis first, then the middle ones as a stack of products, then the
-    first: each step is one `@` on a reshaped array, with no transposes.
-    Needs d >= 2; the d = 1 transforms are a single `@` of their own.
+    `rows` is (P, n^d), one flattened tensor per row, and gives (P, m^d).
+    Last axis first, then axes d-2 ... 0, each one `@` on a reshaped array
+    with no transposes, multiplying the slices a lone tensor would: row p is
+    bit for bit tensor p alone.  Explicit sizes keep an empty stack's shape.
     """
-    assert d >= 2
-    n = mat.shape[1]
-    out = values.reshape(-1, n) @ mat.T
-    for axis in range(d - 2, 0, -1):
-        out = mat @ out.reshape(n**axis, n, -1)
-    return (mat @ out.reshape(n, -1)).reshape(-1)
+    m, n = mat.shape
+    p = len(rows)
+    out = rows.reshape(p, n ** (d - 1), n) @ mat.T
+    for axis in range(d - 2, -1, -1):
+        out = mat @ out.reshape(p * n**axis, n, m ** (d - 1 - axis))
+    return out.reshape(p, m**d)
 
 
 def expand(basis: SpectralBasis, coefficients: np.ndarray,
            axis_rows: np.ndarray) -> np.ndarray:
     """Grid samples of sum_k c_k prod_a axis_rows[row_a(k)](x_a), (N,)*d.
 
-    `coefficients` is a prefix of the band; `axis_rows` is `axis_table` or
-    an elementwise function of it (its square gives sum_k c_k psi_k^2).
+    `coefficients` is a prefix of the band, one vector or a (P, m) stack of
+    them, which gives (P,) + grid_shape.  `axis_rows` is `axis_table` or an
+    elementwise function of it (its square gives sum_k c_k psi_k^2).
     """
-    if basis.dimension == 1:
-        return coefficients @ axis_rows[: coefficients.size]
-    dense = np.zeros(axis_rows.shape[0] ** basis.dimension)
-    dense[basis.band_positions[: coefficients.size]] = coefficients
-    return _contract(dense, axis_rows.T, basis.dimension).reshape(basis.grid_shape)
+    rows = coefficients if coefficients.ndim == 2 else coefficients[None]
+    p, m = rows.shape
+    if basis.dimension == 1:  # the band is the first m axis modes
+        dense, axis_rows = rows, axis_rows[:m]
+    else:
+        dense = np.zeros((p, axis_rows.shape[0] ** basis.dimension))
+        dense[:, basis.band_positions[:m]] = rows
+    fields = _contract(dense, axis_rows.T, basis.dimension)
+    fields = fields.reshape((p,) + basis.grid_shape)
+    return fields if coefficients.ndim == 2 else fields[0]
 
 
 def analyze(basis: SpectralBasis, values: np.ndarray) -> np.ndarray:
@@ -236,21 +246,16 @@ def analyze(basis: SpectralBasis, values: np.ndarray) -> np.ndarray:
     bit for bit the coefficient vector of field p analyzed alone.
     """
     values = np.asarray(values)
-    if values.ndim == basis.dimension + 1 and values.shape[1:] == basis.grid_shape:
-        if basis.dimension == 1:
-            # one matrix-vector product per row, as below
-            return (np.matmul(basis.axis_table, values[..., None])[..., 0]
-                    * basis.cell_volume)
-        return np.array([analyze(basis, row) for row in values])
-    flat = values.reshape(-1)
-    if flat.size != basis.grid_size:
+    stacked = values.shape[1:] == basis.grid_shape
+    if not stacked and values.size != basis.grid_size:
         raise ValueError(
-            f"field has {flat.size} entries, basis grid has {basis.grid_size}"
+            f"field has {values.size} entries, basis grid has {basis.grid_size}"
         )
-    if basis.dimension == 1:
-        return basis.axis_table @ flat * basis.cell_volume
-    full = _contract(flat, basis.axis_table, basis.dimension)
-    return full[basis.band_positions] * basis.cell_volume
+    rows = values.reshape(len(values) if stacked else 1, basis.grid_size)
+    full = _contract(rows, basis.axis_table, basis.dimension)
+    # `take` keeps the rows C-contiguous, so row sums add as a lone row's do
+    coeffs = full.take(basis.band_positions, axis=1) * basis.cell_volume
+    return coeffs if stacked else coeffs[0]
 
 
 def synthesize(basis: SpectralBasis, coefficients: np.ndarray) -> np.ndarray:
@@ -260,16 +265,10 @@ def synthesize(basis: SpectralBasis, coefficients: np.ndarray) -> np.ndarray:
     bit for bit the field of vector p synthesized alone.
     """
     coeffs = np.asarray(coefficients, dtype=float)
-    if coeffs.ndim == 2 and coeffs.shape[1] <= basis.n_modes:
-        if basis.dimension == 1:
-            # one vector-matrix product per row, as in `expand`
-            rows = basis.axis_table[: coeffs.shape[1]]
-            return np.matmul(coeffs[:, None, :], rows)[:, 0]
-        return np.array([synthesize(basis, row) for row in coeffs])
-    if coeffs.ndim != 1 or coeffs.size > basis.n_modes:
+    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] > basis.n_modes:
         raise ValueError(
-            f"coefficient vector of length {coeffs.size} exceeds the "
-            f"{basis.n_modes} retained modes"
+            f"coefficients shaped {coeffs.shape}; need (m,) or (P, m) with "
+            f"m at most {basis.n_modes} retained modes"
         )
     return expand(basis, coeffs, basis.axis_table)
 

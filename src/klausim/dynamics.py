@@ -133,8 +133,11 @@ class SolverConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if not self.t_final >= 0 or (self.t_final > 0 and self.dt > self.t_final):
-            raise ValueError("need 0 <= dt <= t_final")
+        # a whole number up to rounding (0.07 / 0.01 is 7.000000000000001)
+        steps = self.t_final / self.dt
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
+            raise ValueError(f"t_final={self.t_final} is not a nonnegative "
+                             f"whole number of dt={self.dt} steps")
         if not (self.newton_tol > 0 and self.newton_max_iter >= 1):
             raise ValueError("Newton controls must be positive")
         if self.nonneg_policy not in ("monitor", "project"):

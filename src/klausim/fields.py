@@ -31,14 +31,13 @@ def lp_norm(values: np.ndarray, p: float) -> float:
     """Discrete L^p norm (h^d sum |z_i|^p)^(1/p) on the unit box."""
     if p < 1.0:
         raise ValueError(f"L^p norm needs p >= 1, got {p}")
-    z = np.asarray(values, dtype=float)
-    return float(np.mean(np.abs(z) ** p) ** (1.0 / p))
+    return _lp_rows(np.asarray(values, dtype=float)[None], p)[0]
 
 
 def _lp_rows(rows: np.ndarray, p: float) -> list[float]:
-    """lp_norm of each row of a stack (P, ...), bit for bit: a row's mean
-    reduces as a lone field's does, and each root is taken on a scalar as in
-    lp_norm (an array power rounds differently)."""
+    """Discrete L^p norm of each row of a stack (P, ...); a lone field is a
+    stack of one.  Each root is taken on a scalar, since an array power
+    rounds differently."""
     flat = rows.reshape(len(rows), math.prod(rows.shape[1:]))
     means = (np.add.reduce(np.abs(flat) ** p, axis=-1) / flat.shape[-1]).tolist()
     return [m ** (1.0 / p) for m in means]

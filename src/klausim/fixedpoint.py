@@ -104,8 +104,8 @@ def cutoff_phi(x, kappa: float):
     C-infinity with Lipschitz constant exactly 2/kappa (attained at the band
     midpoint).
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     t = np.abs(np.asarray(x, dtype=float)) / kappa
     s = np.clip(t - 1.0, 0.0, 1.0)
     upper = _mollifier(1.0 - s)

@@ -263,6 +263,25 @@ def test_separable_transforms_match_dense_oracle(case):
     for got, want in cases:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # stacks: each row is its lone call bit for bit, full band and prefix
+    fs = rng.normal(size=(3,) + basis.grid_shape)
+    cs = rng.normal(size=(3, basis.n_modes))
+    prefix = cs[:, : max(1, basis.n_modes // 2)]
+    for stack, lone in ((analyze(basis, fs), [analyze(basis, f) for f in fs]),
+                        (synthesize(basis, cs), [synthesize(basis, c) for c in cs]),
+                        (synthesize(basis, prefix),
+                         [synthesize(basis, c) for c in prefix])):
+        assert stack.flags.c_contiguous
+        assert np.array_equal(stack, lone)
+
+
+@pytest.mark.parametrize("d, n", [(1, 16), (2, 8), (3, 8)])
+def test_empty_stacks_keep_their_shape(d, n):
+    basis = build_basis(d, "periodic", n, 5)
+    assert analyze(basis, np.zeros((0,) + basis.grid_shape)).shape == (0, 5)
+    for m in (5, 2):
+        fields = synthesize(basis, np.zeros((0, m)))
+        assert fields.shape == (0,) + basis.grid_shape
 
 
 def test_laplacian_matrix_matches_dense_oracle():

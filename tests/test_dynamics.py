@@ -53,6 +53,18 @@ def test_solver_config_rejects_nan(name):
         make_solver(**{name: float("nan")})
 
 
+def test_solver_config_rejects_a_fractional_step_count():
+    """t_final = 1.0 is 3.33 steps of 0.3; the run would stop at t = 0.9."""
+    for dt, t_final in ((0.3, 1.0), (0.2, 0.1), (1e-3, -1e-3),
+                        (1e-3, float("inf"))):
+        with pytest.raises(ValueError, match="whole number of dt"):
+            make_solver(dt=dt, t_final=t_final)
+    # a whole number up to rounding (0.07 / 0.01 is 7.000000000000001), and
+    # no steps at all
+    assert make_solver(dt=0.01, t_final=0.07).n_steps == 7
+    assert make_solver(dt=0.01, t_final=0.0).n_steps == 0
+
+
 # ---------------------------------------------------------------- pm step
 
 

@@ -119,6 +119,18 @@ def test_sobolev_rejects_out_of_range(basis):
         sobolev_norm(basis, np.zeros(basis.grid_shape), 2.5)
 
 
+@pytest.mark.parametrize("d, boundary, n, n_modes",
+                         [(2, "periodic", 16, 100), (3, "neumann", 8, 300)])
+def test_sobolev_norm_of_a_stack_is_each_fields_norm(d, boundary, n, n_modes):
+    """Row p of a stacked norm sums its weighted squares as the lone field's
+    norm does: the stacked coefficients must stay C-contiguous."""
+    basis = build_basis(d, boundary, n, n_modes)
+    stack = np.random.default_rng(d).normal(size=(5,) + basis.grid_shape)
+    for s in (-1.0, 0.4, 2.0):
+        norms = sobolev_norm(basis, stack, s)
+        assert norms.tolist() == [sobolev_norm(basis, f, s) for f in stack]
+
+
 def test_pm_gap_examples():
     assert pm_inequality_gap(1.0, 1.0, 2.5) == 0.0
     assert pm_inequality_gap(1.0, -1.0, 3.0) == pytest.approx(0.0, abs=1e-12)

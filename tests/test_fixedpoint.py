@@ -71,8 +71,9 @@ def test_cutoff_midpoint_slope_bound():
 
 
 def test_cutoff_rejects_bad_kappa():
-    with pytest.raises(ValueError):
-        cutoff_phi(1.0, 0.0)
+    for kappa in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="kappa"):
+            cutoff_phi(1.0, kappa)
 
 
 # ----------------------------------------------------------------- params
