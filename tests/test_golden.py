@@ -13,7 +13,11 @@ became dt * (sum of rates).
 The one d=2 run, `simulate_krylov`, is checked by value against
 `tests/golden_krylov.npz` (recorded with the dense mode table) rather than by
 bytes: the separable transforms that replaced the table sum in another order
-in d >= 2.  Every d=1 run keeps its byte hashes.
+in d >= 2.  The `ensemble` report is checked by value against
+`tests/golden_ensemble.json` (recorded while every batch row still equalled
+its lone run bit for bit), to 1e-9 relative: its paths run as batches, whose
+rows stay within that bound of their lone runs.  Every other d=1 run keeps
+its byte hashes.
 """
 
 import dataclasses
@@ -24,7 +28,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from klausim.cli import apply_overrides, default_config, read_snapshots, run
+from klausim.cli import (
+    apply_overrides,
+    build_scenario,
+    default_config,
+    read_snapshots,
+    run,
+)
+from klausim.diagnostics import ensemble_moments
 from klausim.fixedpoint import exit_prob_estimate
 from klausim.scenarios import exit_scenario
 
@@ -33,6 +44,8 @@ GOLDEN = json.loads(
 )
 # the arrays `simulate_krylov` wrote, for a check by value rather than bytes
 KRYLOV_NPZ = Path(__file__).with_name("golden_krylov.npz")
+# the statistics of the `ensemble` report at full precision
+ENSEMBLE_JSON = Path(__file__).with_name("golden_ensemble.json")
 
 BASE = ["grid.n=32", "solver.dt=0.002", "solver.t_final=0.02",
         "solver.snapshot_stride=3", "run.seed=17"]
@@ -113,6 +126,21 @@ def krylov_arrays(out: Path) -> dict:
     return {"times": times, "u": u, "v": v, "norms": norms}
 
 
+def ensemble_values() -> dict:
+    """The report of the `ensemble` run, computed as `run` computes it:
+    {statistic: [mean, stderr]} plus n_paths and the two C ratios."""
+    _, overrides = RUNS["ensemble"]
+    cfg = default_config()
+    apply_overrides(cfg, overrides)
+    report = ensemble_moments(build_scenario(cfg), p=cfg.get("run", "p"),
+                              n_paths=cfg.get("run", "paths"),
+                              workers=cfg.get("run", "workers"))
+    vals = {name: [s.mean, s.stderr] for name, s in report.stats.items()}
+    vals.update(n_paths=report.n_paths, c0_ratio=report.c0_ratio,
+                c2_ratio=report.c2_ratio)
+    return vals
+
+
 def exit_outputs(seed, n, t_final, v_scale, kappa) -> dict:
     sc = exit_scenario(seed=seed, n=n, t_final=t_final)
     res = exit_prob_estimate(dataclasses.replace(sc, v0=v_scale * sc.v0),
@@ -126,8 +154,9 @@ H_MAY_MOVE = {"simulate_coupled", "simulate_decoupled", "simulate_krylov",
               "glue", "pattern_demo"}
 
 
-# d >= 2 runs: checked by value in test_golden_krylov_values, not by bytes
-BY_VALUE = {"simulate_krylov"}
+# checked by value in test_golden_krylov_values and
+# test_golden_ensemble_values, not by bytes
+BY_VALUE = {"simulate_krylov", "ensemble"}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -136,7 +165,7 @@ def test_golden_run(name, tmp_path):
     want = GOLDEN["runs"][name]
     assert got["status"] == want["status"] == 0
     if "report" in want:
-        assert got["report"] == want["report"]
+        assert name in BY_VALUE or got["report"] == want["report"]
         return
     if name not in BY_VALUE:
         assert got["snapshots"] == want["snapshots"]
@@ -168,3 +197,17 @@ def test_golden_krylov_values(tmp_path):
     scale = np.max(np.abs(want["norms"]), axis=0)
     assert np.all(np.abs(got["norms"] - want["norms"]) <= 1e-12 * scale)
 
+
+
+def test_golden_ensemble_values():
+    """The ensemble report matches its recorded statistics to 1e-9 relative
+    (the tolerance bench/reference.json gives the ensemble means), scaled by
+    the largest entry of each statistic: a stderr, which can be rounding
+    noise where every path has the same sup, is measured against its mean."""
+    got = ensemble_values()
+    want = json.loads(ENSEMBLE_JSON.read_text())
+    assert got.keys() == want.keys()
+    assert got["n_paths"] == want["n_paths"]
+    for key in want.keys() - {"n_paths"}:
+        g, w = np.atleast_1d(got[key]), np.atleast_1d(want[key])
+        assert np.all(np.abs(g - w) <= 1e-9 * np.max(np.abs(w))), key
