@@ -139,17 +139,26 @@ class SpectralBasis:
 
         L[i, j] = -sum_k nu_k psi_k(x_i) psi_k(x_j) h^d.  Cached; used by the
         implicit porous-medium solver when the grid is small enough for
-        direct linear algebra.  Holds the (r^d x N^d) per-axis products
-        while it is built; row band_positions[k] is psi_k.
+        direct linear algebra.
         """
         lap = self._cache.get("laplacian_matrix")
         if lap is None:
-            products = functools.reduce(np.kron, [self.axis_table] * self.dimension)
-            modes = products[self.band_positions]
+            modes = self.mode_matrix()
             weighted = (-self.eigenvalues[:, None]) * modes
             lap = modes.T @ weighted * self.cell_volume
             self._cache["laplacian_matrix"] = lap
         return lap
+
+    def mode_matrix(self) -> np.ndarray:
+        """Dense (n_modes x N^d) grid samples of the retained modes; row k is
+        psi_k.  Cached; built from the (r^d x N^d) per-axis products, for
+        grids small enough for direct linear algebra."""
+        modes = self._cache.get("mode_matrix")
+        if modes is None:
+            products = functools.reduce(np.kron, [self.axis_table] * self.dimension)
+            modes = products[self.band_positions]
+            self._cache["mode_matrix"] = modes
+        return modes
 
 
 def build_basis(d: int, boundary: str, n: int, n_modes: int) -> SpectralBasis:

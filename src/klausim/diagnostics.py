@@ -269,9 +269,10 @@ def _chunk_statistics(scenario, p: float, indices: np.ndarray) -> np.ndarray:
     """The _STAT_NAMES of paths `indices` (an int array), one row each in
     that order.
 
-    The paths observe one `_run_paths` batch, so every row equals the path
-    run alone bit for bit.  The statistics stream: each record adds its
-    per-row rates, and no snapshot is kept.
+    The paths observe one `_run_paths` batch, so every row stays within the
+    batch contract of `dynamics._newton` of the path run alone.  The
+    statistics stream: each record adds its per-row rates, and no snapshot
+    is kept.
     """
     basis, model, rho, m0 = (scenario.basis, scenario.model,
                              scenario.hypothesis.rho, scenario.hypothesis.m0)
@@ -302,15 +303,24 @@ def _chunk_statistics(scenario, p: float, indices: np.ndarray) -> np.ndarray:
     return acc.T.copy()  # C order: the report's means add rows in order
 
 
+# an ensemble steps its paths in contiguous chunks of this many, so a row
+# depends on the index count and not on the worker count
+_CHUNK_PATHS = 50
+
+
 def _ensemble_rows(scenario, p: float, indices, workers: int) -> np.ndarray:
     """_STAT_NAMES of each path of `indices`, row j for path indices[j].
-    The paths split into contiguous chunks, one per worker, each stepped as
-    one batch; a row does not depend on its chunk."""
+    The paths split into contiguous chunks of _CHUNK_PATHS, each stepped as
+    one batch, serially or on up to `workers` processes: a row depends on
+    its chunk, within the batch contract of `dynamics._newton`, but not on
+    the workers, so a pooled run equals a serial one bit for bit."""
     chunk_stats = partial(_chunk_statistics, scenario, p)
-    workers = max(1, min(workers, len(indices)))
-    chunks = np.array_split(np.asarray(indices, dtype=int), workers)
+    indices = np.asarray(indices, dtype=int)
+    chunks = [indices[i:i + _CHUNK_PATHS]
+              for i in range(0, len(indices), _CHUNK_PATHS)] or [indices]
+    workers = max(1, min(workers, len(chunks)))
     if workers == 1:
-        return chunk_stats(chunks[0])
+        return np.concatenate([chunk_stats(c) for c in chunks])
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(chunk_stats, chunks)))
 

@@ -42,12 +42,14 @@ from .noise import NoisePath, stratonovich_correction, _increment_rows, _path_ke
 ITO = "ito"
 STRATONOVICH = "stratonovich"
 
-# grids up to this many cells use a dense LU for the Newton updates: the
+# grids up to this many cells solve the Newton updates directly: the
 # measured crossover, past which preconditioned GMRES solves faster
 _DENSE_LIMIT = 256
-# a batch of paths solves its dense Newton systems as stacks of at most
-# this many bytes of Jacobians (32 of them at the limit, 2048 at d=1 N=32)
-_LU_STACK_BYTES = 1 << 24
+# on those grids, this many rows iterating at once solve by one batched PCG
+# rather than by LU row by row: the measured crossover at d=1 N=32 and 64
+_PCG_ROWS = 16
+# each PCG row stops at this residual relative to its right-hand side
+_PCG_RTOL = 1e-10
 
 
 def __getattr__(name):
@@ -176,12 +178,6 @@ class Trajectory:
     def n_records(self) -> int:
         return self.times.size
 
-    def final_state(self) -> CoupledState:
-        return CoupledState(
-            self.u_snapshots[-1].copy(), self.v_snapshots[-1].copy(),
-            float(self.times[-1]),
-        )
-
     def norm_table(self) -> np.ndarray:
         cols = [self.times] + [self.norms[c] for c in self.NORM_COLUMNS]
         return np.column_stack(cols)
@@ -228,36 +224,120 @@ def heat_step(
     return out
 
 
+class _Unsolved(Exception):
+    """The Newton system of one row of a batch was not solved."""
+
+    def __init__(self, row: int, why: str):
+        super().__init__(why)
+        self.row = row  # its position in the batch
+
+
+def _rowdot(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _pcg(lap, modes, cell_volume, eigenvalues, coef, deriv, res):
+    """Newton updates of a batch of rows by one masked preconditioned CG.
+
+    J d = -res with J = I - coef lap D, D = diag(deriv) > 0, becomes
+    A x = -S res with A = I - coef S lap S, S = D^(1/2) and x = S d: A is
+    symmetric positive definite, since lap is symmetric negative
+    semidefinite.  Each product is one GEMM over the rows still iterating.
+
+    The preconditioner is T P T.  P is the spectral inverse of A with D
+    frozen at the row's mean m, the identity off the band.  T is diagonal,
+    T^2 = (1 + coef m k) / (1 + coef D k) with k = -diag(lap): it carries
+    the diagonal of the frozen operator to that of A, so rows whose D
+    varies by decades still converge in tens of iterations.
+
+    Each row stops once its residual is within _PCG_RTOL of its right-hand
+    side and leaves the iteration; d = -res + coef lap (S x) then needs no
+    division by S.  A zero-curvature breakdown, or a row still iterating
+    after 2 n iterations, raises _Unsolved naming the row.
+    """
+    k, n = deriv.shape
+    s = root = np.sqrt(deriv)
+    mean = deriv.mean(axis=1)[:, None]
+    weight = cell_volume * (1.0 / (1.0 + coef * mean * eigenvalues) - 1.0)
+    diag = -coef * np.diagonal(lap)
+    t = np.sqrt((1.0 + mean * diag) / (1.0 + deriv * diag))
+    x = np.zeros_like(deriv)
+    r = -s * res
+    out = np.empty_like(deriv)
+    left = np.arange(k)  # the rows still iterating, by position
+    rr = _rowdot(r, r)
+    stop = _PCG_RTOL**2 * rr
+    p = rz = None
+    for it in range(2 * n + 1):
+        done = rr <= stop
+        if done.any():
+            out[left[done]] = x[done]
+            keep = ~done
+            if not keep.any():
+                break
+            left, x, r, s, t, weight, rr, stop = (
+                a[keep] for a in (left, x, r, s, t, weight, rr, stop))
+            if p is not None:
+                p, rz = p[keep], rz[keep]
+        if it == 2 * n:
+            raise _Unsolved(int(left[0]), f"PCG did not converge in {it} "
+                            "iterations")
+        tr = t * r
+        z = t * (tr + ((tr @ modes.T) * weight) @ modes)
+        rz_new = _rowdot(r, z)
+        p = z if p is None else z + (rz_new / rz)[:, None] * p
+        rz = rz_new
+        q = p - coef * s * ((s * p) @ lap.T)
+        pq = _rowdot(p, q)
+        bad = ~(pq > 0.0)
+        if bad.any():
+            raise _Unsolved(int(left[np.argmax(bad)]),
+                            f"PCG breakdown (curvature {pq[bad][0]:.3e})")
+        alpha = (rz / pq)[:, None]
+        x += alpha * p
+        r -= alpha * q
+        rr = _rowdot(r, r)
+    return coef * ((root * out) @ lap.T) - res
+
+
 def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
     """Damped Newton with Armijo backtracking for w - coef Lap(w^[gamma]) = rhs
     on each row of rhs (P, grid_size), started from w = rhs, with one
     tol_abs per row; returns (w, final residual norm of each row).
 
     The rows not yet converged iterate together, each with its own line
-    search, so every row takes the iterates, step lengths and iteration
-    count it takes alone.  Grids up to _DENSE_LIMIT cells solve the Newton
-    systems by dense LU, as stacks of at most _LU_STACK_BYTES of Jacobians;
-    larger grids use matrix-free GMRES with a spectral preconditioner, one
+    search and stopping test.  Grids up to _DENSE_LIMIT cells solve the
+    Newton systems directly: by dense LU, one row at a time, while fewer
+    than _PCG_ROWS rows iterate, so a lone row and a small batch take the
+    bits of each row alone; by one masked, batched PCG (`_pcg`) for more.
+    A PCG update agrees with the LU one to about _PCG_RTOL, so each row of a
+    large batch ends within 1e-9 relative of its lone run, not bit for bit.
+    Larger grids use matrix-free GMRES with a spectral preconditioner, one
     row at a time.  A failure names its row.
     """
     n = basis.grid_size
     if n <= _DENSE_LIMIT:
         lap = basis.laplacian_matrix()
-        block = max(1, _LU_STACK_BYTES // (8 * n * n))
         neg_lap = -coef * lap
 
         def apply_lap(z):
             return np.matmul(lap, z[..., None])[..., 0]  # lap @ each row
 
         def solve(deriv, res):
-            # I - coef lap deriv, rounded as np.eye(n) - coef * lap * deriv
-            jac = neg_lap * deriv[:, None, :]
-            jac.reshape(len(jac), n * n)[:, :: n + 1] += 1.0
-            if len(jac) == 1:  # same bits, without the stacked call's cost
-                return np.linalg.solve(jac[0], -res[0])[None]
-            return np.linalg.solve(jac, -res[..., None])[..., 0]
+            if len(deriv) >= _PCG_ROWS:
+                return _pcg(lap, basis.mode_matrix(), basis.cell_volume,
+                            basis.eigenvalues, coef, deriv, res)
+            delta = np.empty_like(deriv)
+            for j, (d, r) in enumerate(zip(deriv, res)):
+                # I - coef lap d, rounded as np.eye(n) - coef * lap * d
+                jac = neg_lap * d
+                jac.flat[:: n + 1] += 1.0
+                try:
+                    delta[j] = np.linalg.solve(jac, -r)
+                except np.linalg.LinAlgError as exc:
+                    raise _Unsolved(j, str(exc)) from exc
+            return delta
     else:
-        block = 1
         krylov = sys.modules[__name__]  # looked up per call: see __getattr__
 
         def apply_lap(z):
@@ -265,24 +345,25 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
             return apply_laplacian(basis, grid).reshape(z.shape)
 
         def solve(deriv, res):
-            (deriv,), (res,) = deriv, res  # a block holds one row
-            # the Jacobian with deriv frozen at its mean, inverted on the
-            # band; the identity off it
-            scale = 1.0 / (1.0 + coef * float(np.mean(deriv)) * basis.eigenvalues)
+            delta = np.empty_like(deriv)
+            for j, (d, r) in enumerate(zip(deriv, res)):
+                # the Jacobian with d frozen at its mean, inverted on the
+                # band; the identity off it
+                scale = 1.0 / (1.0 + coef * float(np.mean(d)) * basis.eigenvalues)
 
-            def pmv(z):
-                coeffs = analyze(basis, z.reshape(basis.grid_shape))
-                return z + synthesize(basis, coeffs * (scale - 1.0)).reshape(-1)
+                def pmv(z):
+                    coeffs = analyze(basis, z.reshape(basis.grid_shape))
+                    return z + synthesize(basis, coeffs * (scale - 1.0)).reshape(-1)
 
-            jac = krylov.LinearOperator(
-                (n, n), matvec=lambda z: z - coef * apply_lap(deriv * z)
-            )
-            precond = krylov.LinearOperator((n, n), matvec=pmv)
-            delta, info = krylov.gmres(jac, -res, rtol=1e-10, atol=0.0,
-                                       M=precond, maxiter=200)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"inner GMRES failed (info={info})")
-            return delta[None]
+                jac = krylov.LinearOperator(
+                    (n, n), matvec=lambda z: z - coef * apply_lap(d * z)
+                )
+                precond = krylov.LinearOperator((n, n), matvec=pmv)
+                delta[j], info = krylov.gmres(jac, -r, rtol=1e-10, atol=0.0,
+                                              M=precond, maxiter=200)
+                if info != 0:
+                    raise _Unsolved(j, f"inner GMRES failed (info={info})")
+            return delta
 
     def residual(z, b):
         return z - coef * apply_lap(power_gamma(z, gamma)) - b
@@ -299,20 +380,12 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
             return w, res_norm
         rows = slice(None) if len(ids) == len(w) else ids  # a view if all
         deriv = gamma * np.abs(w[rows]) ** (gamma - 1.0) + 1e-12
-        res_rows = res[rows]
-        delta = np.empty_like(deriv)
         try:
-            for lo in range(0, len(ids), block):
-                delta[lo:lo + block] = solve(deriv[lo:lo + block],
-                                             res_rows[lo:lo + block])
-        except np.linalg.LinAlgError:
-            for j, row in enumerate(ids):  # name the first failing row
-                try:
-                    solve(deriv[j:j + 1], res_rows[j:j + 1])
-                except np.linalg.LinAlgError as exc:
-                    raise NewtonError(f"Newton system not solved: {exc}",
-                                      res_norm[row], iteration, row=row) from exc
-            raise
+            delta = solve(deriv, res[rows])
+        except _Unsolved as exc:
+            row = ids[exc.row]
+            raise NewtonError(f"Newton system not solved: {exc}",
+                              res_norm[row], iteration, row=row) from exc
         # one alpha serves all rows still searching: each halved from 1
         alpha = 1.0
         search = ids

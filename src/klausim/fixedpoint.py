@@ -122,6 +122,9 @@ class FrozenPair:
     eta: np.ndarray  # (n_times, *grid)
     xi: np.ndarray
     dt: float
+    # (params, h column) of the run the pair was recorded from, or None:
+    # apply_V reads that column, h_values' own bits, rather than recompute it
+    recorded_h: Optional[tuple[CutoffParams, np.ndarray]] = None
 
     @property
     def n_times(self) -> int:
@@ -133,9 +136,14 @@ class FrozenPair:
         return cls(eta=np.zeros(shape), xi=np.zeros(shape), dt=dt)
 
     @classmethod
-    def from_trajectory(cls, traj: Trajectory) -> "FrozenPair":
+    def from_trajectory(cls, traj: Trajectory,
+                        params: Optional[CutoffParams] = None) -> "FrozenPair":
+        """The pair of a run's snapshots; `params`, if given, are the cutoff
+        params the run recorded its h column with, and the pair keeps it."""
         dt = float(traj.times[1] - traj.times[0]) if traj.times.size > 1 else 0.0
-        return cls(eta=traj.u_snapshots, xi=traj.v_snapshots, dt=dt)
+        recorded = None if params is None else (params, traj.norms["h"])
+        return cls(eta=traj.u_snapshots, xi=traj.v_snapshots, dt=dt,
+                   recorded_h=recorded)
 
     def h_values(self, params: CutoffParams) -> np.ndarray:
         """h at every grid time by left-endpoint quadrature; h(0) = 0."""
@@ -177,7 +185,11 @@ def apply_V(
         )
     increments = _path_increments(noise_path, solver)
     drift1, drift2 = _mult_drifts(basis, model, noise_path.spec, None)
-    phi = cutoff_phi(pair.h_values(params), kappa)
+    if pair.recorded_h is not None and pair.recorded_h[0] == params:
+        h = pair.recorded_h[1]
+    else:
+        h = pair.h_values(params)
+    phi = cutoff_phi(h, kappa)
 
     def step(state, n, dw1, dw2):
         return step_frozen(
@@ -238,13 +250,13 @@ def picard_solve(
     if initial_pair is None:
         zero = FrozenPair.zero(basis, solver.dt, n_steps)
         first = apply_V(zero, u0, v0, kappa, noise_path, model, solver, basis, params)
-        pair = FrozenPair.from_trajectory(first)
+        pair = FrozenPair.from_trajectory(first, params)
     else:
         pair = initial_pair
     residuals: list[float] = []
     for iteration in range(1, max_iter + 1):
         traj = apply_V(pair, u0, v0, kappa, noise_path, model, solver, basis, params)
-        new_pair = FrozenPair.from_trajectory(traj)
+        new_pair = FrozenPair.from_trajectory(traj, params)
         r = pair_distance(new_pair, pair, params)
         residuals.append(r)
         pair = new_pair

@@ -1,12 +1,13 @@
 """Functions only the tests call: a quadrature, a band residual, a fitted
-Weyl constant, a trace normalisation and a deterministic pattern scenario."""
+Weyl constant, a trace normalisation, a deterministic pattern scenario and
+the end state of a recorded run."""
 
 import dataclasses
 
 import numpy as np
 
 from klausim.basis import SpectralBasis, analyze, build_basis, synthesize, weyl_count
-from klausim.dynamics import ModelConfig, SolverConfig
+from klausim.dynamics import CoupledState, ModelConfig, SolverConfig, Trajectory
 from klausim.fields import lp_norm
 from klausim.noise import NoiseSpec
 from klausim.scenarios import (
@@ -72,3 +73,9 @@ def pattern_scenario(seed: int = 0, n: int = 128) -> Scenario:
         basis, model, solver, noise, default_cutoff(gamma=model.gamma), hp,
         u0, v0,
     )
+
+
+def final_state(traj: Trajectory) -> CoupledState:
+    """The last recorded state of a run, as a copy."""
+    return CoupledState(traj.u_snapshots[-1].copy(),
+                        traj.v_snapshots[-1].copy(), float(traj.times[-1]))

@@ -20,6 +20,9 @@ from klausim.dynamics import (
 )
 from klausim.fields import lp_norm, power_gamma
 from klausim.noise import NoiseSpec, generate_path, stratonovich_correction
+from klausim.scenarios import exit_scenario
+
+from helpers import final_state
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +242,7 @@ def test_coupled_decouples_when_u_zero(per64):
     solver = make_solver(dt=1e-3, t_final=0.2)
     v0 = per64.mode_field(1)
     traj = simulate_path(per64, np.zeros(64), v0, model, solver, None)
-    final = traj.final_state()
+    final = final_state(traj)
     expected = np.exp(-model.r_v * per64.eigenvalues[1] * 0.2) * v0
     assert np.max(np.abs(final.v - expected)) <= 1e-10
     assert np.max(np.abs(final.u)) <= 1e-12
@@ -277,7 +280,7 @@ def test_decoupled_closed_forms(neu64):
     c = 1.7 * np.ones(64)
     v0 = neu64.mode_field(1)
     traj = simulate_path(neu64, c, v0, model, solver, None, mode="decoupled")
-    final = traj.final_state()
+    final = final_state(traj)
     assert np.max(np.abs(final.u - 1.7)) <= 1e-10
     expected_v = np.exp(-(model.r_v * neu64.eigenvalues[1] + 1.0) * 0.5) * v0
     assert np.max(np.abs(final.v - expected_v)) <= 1e-10
@@ -291,7 +294,7 @@ def test_decoupled_zero_is_fixed_point(per64):
     traj = simulate_path(
         per64, np.zeros(64), np.zeros(64), model, solver, path, mode="decoupled"
     )
-    assert np.max(np.abs(traj.final_state().u)) == 0.0
+    assert np.max(np.abs(final_state(traj).u)) == 0.0
 
 
 # ------------------------------------------------------------- invariants
@@ -379,7 +382,7 @@ def test_strong_self_convergence_order(per64):
     def endpoint(path, dt):
         solver = make_solver(dt=dt, t_final=t_final, snapshot_stride=10**6)
         traj = simulate_path(per64, u0, v0, model, solver, path)
-        return traj.final_state()
+        return final_state(traj)
 
     ref = endpoint(fine_path, dt_fine)
     errs = []
@@ -394,7 +397,7 @@ def test_strong_self_convergence_order(per64):
     det = ModelConfig(r_u=0.5, r_v=0.1, gamma=3.0, sigma1=0.0, sigma2=0.0)
     def endpoint_det(path, dt):
         solver = make_solver(dt=dt, t_final=t_final, snapshot_stride=10**6)
-        return simulate_path(per64, u0, v0, det, solver, path).final_state()
+        return final_state(simulate_path(per64, u0, v0, det, solver, path))
     ref_d = endpoint_det(fine_path, dt_fine)
     errs_d = []
     for factor in (8, 4):
@@ -462,32 +465,80 @@ def _rough_batch(basis, rows, seed):
     return u, rng.standard_normal(shape), 0.03 * rng.standard_normal(shape)
 
 
-def test_lu_stack_blocks_give_one_block_bits(per64, monkeypatch):
-    """A batch split over several LU stacks steps as it does in one."""
+@pytest.mark.parametrize("rows", [dynamics._PCG_ROWS - 1, dynamics._PCG_ROWS])
+def test_pcg_crossover_picks_the_solver(per64, monkeypatch, rows):
+    """The first Newton iteration of a dense batch solves by PCG from
+    _PCG_ROWS rows on, and by LU, row by row, below it."""
     model = ModelConfig(r_u=1.0, gamma=3.0, sigma1=0.4)
     solver = make_solver(dt=4e-3)
-    u, source, dw1 = _rough_batch(per64, 100, seed=3)
-    stacks = []
-    solve = np.linalg.solve
+    u, source, dw1 = _rough_batch(per64, rows, seed=3)
+    calls = []
+    pcg, solve = dynamics._pcg, np.linalg.solve
 
-    def spy(a, b):
-        stacks.append(len(a) if a.ndim == 3 else 1)
+    def spy_pcg(*args):
+        calls.append(("pcg", len(args[-1])))
+        return pcg(*args)
+
+    def spy_lu(a, b):
+        calls.append(("lu", 1))
         return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", spy)
-    one = pm_implicit_step(per64, u, source, dw1, model, solver, solver.dt)
-    assert stacks[0] == 100  # the whole first Newton iteration in one stack
-    stacks.clear()
-    # 32 Jacobians of 64 x 64 doubles a stack: 4 stacks for 100 rows
-    monkeypatch.setattr(dynamics, "_LU_STACK_BYTES", 32 * 8 * 64 * 64)
-    split = pm_implicit_step(per64, u, source, dw1, model, solver, solver.dt)
-    assert stacks[:4] == [32, 32, 32, 4] and max(stacks) == 32
-    assert np.array_equal(split, one)
+    monkeypatch.setattr(dynamics, "_pcg", spy_pcg)
+    monkeypatch.setattr(np.linalg, "solve", spy_lu)
+    pm_implicit_step(per64, u, source, dw1, model, solver, solver.dt)
+    if rows >= dynamics._PCG_ROWS:
+        assert calls[0] == ("pcg", rows)
+    else:
+        assert calls[:rows] == [("lu", 1)] * rows
+        assert all(c[0] == "lu" for c in calls)
+
+
+def _run_failing_batch(monkeypatch, failure):
+    """Paths 40-59, reversed, of an exit scenario as one batch: rows 0-2 stop
+    after step 2, then `failure(basis)` breaks the PCG of the next step."""
+    sc = exit_scenario(seed=808, n=32, t_final=0.02)
+    paths = np.arange(59, 39, -1)
+
+    def observe(n, u, v, live, rung):
+        if n == 2:
+            failure(sc.basis)
+            return live[3:], ()
+        return live, ()
+
+    with pytest.raises(NewtonError) as err:
+        dynamics._run_paths(sc, paths, observe)
+    return err.value, paths
+
+
+def test_pcg_cap_raises_newton_error_naming_step_and_path(monkeypatch):
+    """A PCG that cannot meet its tolerance stops at its cap, 2 n
+    iterations, and the error carries the step and the global path."""
+    def no_tolerance(basis):
+        monkeypatch.setattr(dynamics, "_PCG_RTOL", 0.0)
+
+    err, paths = _run_failing_batch(monkeypatch, no_tolerance)
+    assert "PCG did not converge in 64 iterations" in str(err)
+    assert err.step_index == 2
+    assert err.row == 0 and err.path == paths[3] == 56  # row 0 of the live
+    assert err.iterations == 0 and np.isfinite(err.residual)
+
+
+def test_pcg_breakdown_raises_newton_error_naming_step_and_path(monkeypatch):
+    """An indefinite system (the Laplacian's sign flipped) breaks the PCG
+    down on zero or negative curvature."""
+    def flip(basis):
+        monkeypatch.setitem(basis._cache, "laplacian_matrix",
+                            -basis.laplacian_matrix())
+
+    err, paths = _run_failing_batch(monkeypatch, flip)
+    assert "PCG breakdown" in str(err)
+    assert err.step_index == 2
+    assert err.path in paths[3:]
 
 
 def test_unsolved_newton_system_names_its_row(monkeypatch):
-    """The retry after a failed stack names the row whose system failed,
-    with its residual, on the GMRES path of a d=2 batch."""
+    """A system GMRES does not solve names its row, with its residual, on
+    the GMRES path of a d=2 batch."""
     basis = build_basis(2, "neumann", 32, 120)
     assert basis.grid_size > dynamics._DENSE_LIMIT
     model = ModelConfig(r_u=1.0, gamma=3.0, sigma1=0.4)

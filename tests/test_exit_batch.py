@@ -4,8 +4,10 @@
 and `sample_increments` with the exit rule the sampler had before its paths
 were batched: h restarts at each rung, a rung that does not exit before the
 horizon ends the path, and an exit at the horizon step ends it uncounted.
-The batch must reproduce every path bit for bit: its crossing steps, the
-rung it stopped on, and its end state.
+The batch must reproduce every path's crossing steps and the rung it
+stopped on exactly, and its end state to 1e-9 relative to the largest entry
+of each field: a batch of at least `_PCG_ROWS` rows solves its Newton
+systems by PCG, whose updates agree with the lone LU ones to rounding.
 """
 
 import dataclasses
@@ -79,12 +81,23 @@ def counted(crossings, n_total):
     return int(np.count_nonzero((last > 0) & (last < n_total)))
 
 
+# largest deviation of a batch row from its lone run, relative to the
+# largest entry of the lone field
+ROW_RTOL = 1e-9
+
+
+def assert_rows_close(got, want):
+    for j, (g, w) in enumerate(zip(got, want)):
+        assert np.max(np.abs(g - w)) <= ROW_RTOL * np.max(np.abs(w)), f"row {j}"
+
+
 def assert_batch_matches_serial(sc, levels, n_paths):
     crossings, end = _exit_steps(sc, levels, n_paths)
     want, want_u, want_v, clipped = serial_exits(sc, levels, range(n_paths))
     assert np.array_equal(crossings, want)
-    assert np.array_equal(end.u, want_u)
-    assert np.array_equal(end.v, want_v)
+    assert end.u.shape == want_u.shape and end.v.shape == want_v.shape
+    assert_rows_close(end.u, want_u)
+    assert_rows_close(end.v, want_v)
     return crossings, clipped
 
 

@@ -214,6 +214,42 @@ def test_apply_v_deterministic(small):
     assert np.array_equal(a.u_snapshots, b.u_snapshots)
 
 
+def test_apply_v_reads_the_recorded_h_of_its_pair(small, monkeypatch):
+    """A pair taken from a sweep with its params carries the sweep's h
+    column: the next sweep reads it instead of calling h_values, with the
+    same bits.  Other params, or no recorded column, recompute h."""
+    sc = small
+    path = generate_path(sc.noise, sc.basis, sc.solver.dt, sc.solver.n_steps)
+    zero = FrozenPair.zero(sc.basis, sc.solver.dt, sc.solver.n_steps)
+    first = apply_V(zero, sc.u0, sc.v0, 1.0, path, sc.model, sc.solver,
+                    sc.basis, sc.cutoff)
+    recorded = FrozenPair.from_trajectory(first, sc.cutoff)
+    bare = FrozenPair.from_trajectory(first)
+    assert bare.recorded_h is None
+    calls = []
+    h_values = FrozenPair.h_values
+
+    def spy(pair, params):
+        calls.append(params)
+        return h_values(pair, params)
+
+    monkeypatch.setattr(FrozenPair, "h_values", spy)
+
+    def sweep(pair, params):
+        return apply_V(pair, sc.u0, sc.v0, 1.0, path, sc.model, sc.solver,
+                       sc.basis, params)
+
+    a = sweep(recorded, sc.cutoff)
+    assert calls == []
+    b = sweep(bare, sc.cutoff)
+    assert calls == [sc.cutoff]
+    assert np.array_equal(a.u_snapshots, b.u_snapshots)
+    assert np.array_equal(a.v_snapshots, b.v_snapshots)
+    other = sc.cutoff.with_kappa(2.0)
+    sweep(recorded, other)
+    assert calls == [sc.cutoff, other]
+
+
 def test_apply_v_tiny_kappa_switches_reaction_off(small):
     """Once h exceeds 2 kappa the tail must follow the reaction-free flow."""
     sc = small
