@@ -20,10 +20,14 @@ snapshots through one recorder; the moment ensemble and the exit-time
 sampler observe one path-batch runner and stream their statistics.
 
 The Newton driver and the row norms compute on one shape, a batch of paths
-(P,) + grid; a lone field is a batch of one.  Every row advances exactly as
-it would alone, bit for bit: each path runs its own Newton iteration and
-line search, and each norm reduces its row as a lone field's and takes its
-roots and powers on scalars.
+(P,) + grid; a lone field is a batch of one.  Each path runs its own Newton
+iteration and line search, and each norm reduces its row as a lone field's
+and takes its roots and powers on scalars.  The batch contract: a lone
+field, and a batch solved by LU or GMRES, advances bit for bit as each row
+would alone; a batch of at least _PCG_ROWS rows on a dense grid solves its
+Newton systems by one batched PCG, so each row stays within 1e-9 of its
+lone run, relative to the largest entry of each field, and a row's bits
+depend on the batch it is stepped in.
 """
 
 from __future__ import annotations
@@ -242,13 +246,16 @@ def _pcg(lap, modes, cell_volume, eigenvalues, coef, deriv, res):
     J d = -res with J = I - coef lap D, D = diag(deriv) > 0, becomes
     A x = -S res with A = I - coef S lap S, S = D^(1/2) and x = S d: A is
     symmetric positive definite, since lap is symmetric negative
-    semidefinite.  Each product is one GEMM over the rows still iterating.
+    semidefinite.
 
     The preconditioner is T P T.  P is the spectral inverse of A with D
     frozen at the row's mean m, the identity off the band.  T is diagonal,
     T^2 = (1 + coef m k) / (1 + coef D k) with k = -diag(lap): it carries
     the diagonal of the frozen operator to that of A, so rows whose D
-    varies by decades still converge in tens of iterations.
+    varies by decades still converge in tens of iterations.  The iteration
+    runs on T A T y = T b, x = T y, preconditioned by P, which takes the
+    same steps with fewer products; each product with lap or the modes is
+    one GEMM over the rows still iterating.
 
     Each row stops once its residual is within _PCG_RTOL of its right-hand
     side and leaves the iteration; d = -res + coef lap (S x) then needs no
@@ -256,13 +263,15 @@ def _pcg(lap, modes, cell_volume, eigenvalues, coef, deriv, res):
     after 2 n iterations, raises _Unsolved naming the row.
     """
     k, n = deriv.shape
-    s = root = np.sqrt(deriv)
     mean = deriv.mean(axis=1)[:, None]
     weight = cell_volume * (1.0 / (1.0 + coef * mean * eigenvalues) - 1.0)
     diag = -coef * np.diagonal(lap)
-    t = np.sqrt((1.0 + mean * diag) / (1.0 + deriv * diag))
-    x = np.zeros_like(deriv)
-    r = -s * res
+    t2 = (1.0 + mean * diag) / (1.0 + deriv * diag)
+    u = st = np.sqrt(deriv * t2)  # S T
+    cu = coef * u
+    coeffs = np.ascontiguousarray(modes.T)  # z @ coeffs: each row's band
+    r = -u * res  # T b
+    y = np.zeros_like(deriv)
     out = np.empty_like(deriv)
     left = np.arange(k)  # the rows still iterating, by position
     rr = _rowdot(r, r)
@@ -271,33 +280,36 @@ def _pcg(lap, modes, cell_volume, eigenvalues, coef, deriv, res):
     for it in range(2 * n + 1):
         done = rr <= stop
         if done.any():
-            out[left[done]] = x[done]
+            out[left[done]] = y[done]
             keep = ~done
             if not keep.any():
                 break
-            left, x, r, s, t, weight, rr, stop = (
-                a[keep] for a in (left, x, r, s, t, weight, rr, stop))
+            left, y, r, u, cu, t2, weight, rr, stop = (
+                a[keep] for a in (left, y, r, u, cu, t2, weight, rr, stop))
             if p is not None:
                 p, rz = p[keep], rz[keep]
         if it == 2 * n:
             raise _Unsolved(int(left[0]), f"PCG did not converge in {it} "
                             "iterations")
-        tr = t * r
-        z = t * (tr + ((tr @ modes.T) * weight) @ modes)
+        z = r @ coeffs
+        z *= weight
+        z = z @ modes
+        z += r
         rz_new = _rowdot(r, z)
-        p = z if p is None else z + (rz_new / rz)[:, None] * p
-        rz = rz_new
-        q = p - coef * s * ((s * p) @ lap.T)
+        if p is not None:
+            z += (rz_new / rz)[:, None] * p
+        p, rz = z, rz_new
+        q = t2 * p - cu * ((u * p) @ lap)  # lap is symmetric
         pq = _rowdot(p, q)
-        bad = ~(pq > 0.0)
-        if bad.any():
-            raise _Unsolved(int(left[np.argmax(bad)]),
-                            f"PCG breakdown (curvature {pq[bad][0]:.3e})")
+        if not (pq > 0.0).all():
+            bad = np.argmin(pq > 0.0)
+            raise _Unsolved(int(left[bad]),
+                            f"PCG breakdown (curvature {pq[bad]:.3e})")
         alpha = (rz / pq)[:, None]
-        x += alpha * p
+        y += alpha * p
         r -= alpha * q
         rr = _rowdot(r, r)
-    return coef * ((root * out) @ lap.T) - res
+    return coef * ((st * out) @ lap.T) - res
 
 
 def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
