@@ -612,8 +612,9 @@ def _drive(state, solver, n_steps, step, increments, paths=None):
 def _run_paths(scenario, paths, observe) -> CoupledState:
     """Step paths `paths` (an int array of path indices) of `scenario` from
     its initial fields as one batch of coupled steps.  Each row draws its
-    path's noise of its rung at the rung's local step and ends bit for bit
-    as that path stepped alone; a Newton failure names its path.
+    path's noise of its rung at the rung's local step and ends as that path
+    stepped alone, within the batch contract of `_newton`; a Newton failure
+    names its path.
 
     observe(n, u, v, live, rung) sees the batch after n steps, n = 0 to
     solver.n_steps, in arrays later steps overwrite; `live` are the rows

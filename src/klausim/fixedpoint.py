@@ -446,8 +446,9 @@ def _exit_steps(scenario, levels: Sequence[float], n_paths: int):
     draws its noise from the (seed, channel, i, r) substreams at its own
     local step.  A path stops at its first rung that does not exit before
     the horizon, when it exits at the horizon step, or after its last rung.
-    The paths observe one `_run_paths` batch, and each ends bit for bit as
-    it would stepped alone.
+    The paths observe one `_run_paths` batch, and each crosses at the steps
+    it would stepped alone and ends within the batch contract of
+    `dynamics._newton` of its lone end state.
 
     Returns (crossings, end): crossings[i, r] is the global step at which
     path i's h reached levels[r] (-1 if it did not), and end is the batch

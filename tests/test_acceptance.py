@@ -122,8 +122,9 @@ def test_criterion_04_noise_statistics():
 
 
 def test_criterion_05_nonnegativity_ensemble():
-    # the 50 paths step as one batch; each row's minima equal its path's
-    # serial simulate_path run (test_diagnostics.py)
+    # the 50 paths step as one batch; each row stays within 1e-9 of its
+    # path's serial simulate_path run (test_diagnostics.py checks the audit
+    # on a batch small enough for LU, bit for bit)
     sc = nonneg_scenario(seed=505, n=128, dt=1e-3)
     minima = np.full((2, 50), np.inf)
 

@@ -208,8 +208,9 @@ def test_ensemble_c0_affine_in_initial_data():
 
 def test_report_from_leading_rows_matches_ensemble_moments():
     """The report of the first 100 rows of a 130-path run equals the
-    100-path ensemble bit for bit: the rows are keyed by path index, and a
-    C-order row prefix reduces as a fresh array does."""
+    100-path ensemble bit for bit: the rows are keyed by path index, 100 is a
+    whole number of chunks, and a C-order row prefix reduces as a fresh
+    array does."""
     sc = coarse_scenario(seed=66)
     sc = dataclasses.replace(
         sc, solver=dataclasses.replace(sc.solver, t_final=0.01))
@@ -277,7 +278,8 @@ def test_nonneg_monitor_default_scenario():
 
 def test_runner_minima_match_serial_loop():
     """Criterion 05's audit: the batch's per-record minima of u and v on
-    each row equal the min_u and min_v columns of its path's serial run."""
+    each row equal the min_u and min_v columns of its path's serial run.
+    Four rows solve by LU, below the PCG crossover, so bit for bit."""
     sc = nonneg_scenario(seed=505, n=128, dt=1e-3)
     sc = dataclasses.replace(
         sc, solver=dataclasses.replace(sc.solver, t_final=0.05))

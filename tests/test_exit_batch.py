@@ -108,7 +108,7 @@ def _strong_noise(sc, sigma):
 
 
 def test_one_rung_matches_serial_and_skips_horizon_exits():
-    """mc_exit's case: kappa 0.75, d=1 N=32 on dense LU.  Some paths exit
+    """mc_exit's case: kappa 0.75, d=1 N=32, a batch on PCG.  Some paths exit
     exactly at the horizon step and are not counted."""
     sc = exit_scenario(seed=808, n=32, t_final=0.08)
     n_total = sc.solver.n_steps

@@ -120,7 +120,8 @@ def _batch(basis, rows, seed):
 
 
 GRIDS = {
-    # d=1 N=64: dense LU, the grid of the Picard and ensemble workloads
+    # d=1 N=64: dense LU, or PCG from _PCG_ROWS rows on; the grid of the
+    # Picard and ensemble workloads
     "lu": lambda: build_basis(1, "periodic", 64, 63),
     # d=2 N=32 with a truncated band: preconditioned GMRES
     "gmres": lambda: build_basis(2, "neumann", 32, 120),
