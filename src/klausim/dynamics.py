@@ -269,7 +269,7 @@ def _pcg(lap, modes, cell_volume, eigenvalues, coef, deriv, res):
     t2 = (1.0 + mean * diag) / (1.0 + deriv * diag)
     u = st = np.sqrt(deriv * t2)  # S T
     cu = coef * u
-    coeffs = np.ascontiguousarray(modes.T)  # z @ coeffs: each row's band
+    analysis = np.ascontiguousarray(modes.T)  # r @ analysis: the band
     r = -u * res  # T b
     y = np.zeros_like(deriv)
     out = np.empty_like(deriv)
@@ -291,7 +291,7 @@ def _pcg(lap, modes, cell_volume, eigenvalues, coef, deriv, res):
         if it == 2 * n:
             raise _Unsolved(int(left[0]), f"PCG did not converge in {it} "
                             "iterations")
-        z = r @ coeffs
+        z = r @ analysis
         z *= weight
         z = z @ modes
         z += r
@@ -328,6 +328,7 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
     row at a time.  A failure names its row.
     """
     n = basis.grid_size
+    lap = None
     if n <= _DENSE_LIMIT:
         lap = basis.laplacian_matrix()
         neg_lap = -coef * lap
@@ -335,20 +336,11 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
         def apply_lap(z):
             return np.matmul(lap, z[..., None])[..., 0]  # lap @ each row
 
-        def solve(deriv, res):
-            if len(deriv) >= _PCG_ROWS:
-                return _pcg(lap, basis.mode_matrix(), basis.cell_volume,
-                            basis.eigenvalues, coef, deriv, res)
-            delta = np.empty_like(deriv)
-            for j, (d, r) in enumerate(zip(deriv, res)):
-                # I - coef lap d, rounded as np.eye(n) - coef * lap * d
-                jac = neg_lap * d
-                jac.flat[:: n + 1] += 1.0
-                try:
-                    delta[j] = np.linalg.solve(jac, -r)
-                except np.linalg.LinAlgError as exc:
-                    raise _Unsolved(j, str(exc)) from exc
-            return delta
+        def solve_row(d, r):
+            # I - coef lap d, rounded as np.eye(n) - coef * lap * d
+            jac = neg_lap * d
+            jac.flat[:: n + 1] += 1.0
+            return np.linalg.solve(jac, -r)
     else:
         krylov = sys.modules[__name__]  # looked up per call: see __getattr__
 
@@ -356,26 +348,36 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
             grid = z.reshape(z.shape[:-1] + basis.grid_shape)
             return apply_laplacian(basis, grid).reshape(z.shape)
 
-        def solve(deriv, res):
-            delta = np.empty_like(deriv)
-            for j, (d, r) in enumerate(zip(deriv, res)):
-                # the Jacobian with d frozen at its mean, inverted on the
-                # band; the identity off it
-                scale = 1.0 / (1.0 + coef * float(np.mean(d)) * basis.eigenvalues)
+        def solve_row(d, r):
+            # the Jacobian with d frozen at its mean, inverted on the band;
+            # the identity off it
+            scale = 1.0 / (1.0 + coef * float(np.mean(d)) * basis.eigenvalues)
 
-                def pmv(z):
-                    coeffs = analyze(basis, z.reshape(basis.grid_shape))
-                    return z + synthesize(basis, coeffs * (scale - 1.0)).reshape(-1)
+            def pmv(z):
+                coeffs = analyze(basis, z.reshape(basis.grid_shape))
+                return z + synthesize(basis, coeffs * (scale - 1.0)).reshape(-1)
 
-                jac = krylov.LinearOperator(
-                    (n, n), matvec=lambda z: z - coef * apply_lap(d * z)
-                )
-                precond = krylov.LinearOperator((n, n), matvec=pmv)
-                delta[j], info = krylov.gmres(jac, -r, rtol=1e-10, atol=0.0,
-                                              M=precond, maxiter=200)
-                if info != 0:
-                    raise _Unsolved(j, f"inner GMRES failed (info={info})")
+            jac = krylov.LinearOperator(
+                (n, n), matvec=lambda z: z - coef * apply_lap(d * z)
+            )
+            precond = krylov.LinearOperator((n, n), matvec=pmv)
+            delta, info = krylov.gmres(jac, -r, rtol=1e-10, atol=0.0,
+                                       M=precond, maxiter=200)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"inner GMRES failed (info={info})")
             return delta
+
+    def solve(deriv, res):
+        if lap is not None and len(deriv) >= _PCG_ROWS:
+            return _pcg(lap, basis.mode_matrix(), basis.cell_volume,
+                        basis.eigenvalues, coef, deriv, res)
+        delta = np.empty_like(deriv)
+        for j, (d, r) in enumerate(zip(deriv, res)):
+            try:
+                delta[j] = solve_row(d, r)
+            except np.linalg.LinAlgError as exc:
+                raise _Unsolved(j, str(exc)) from exc
+        return delta
 
     def residual(z, b):
         return z - coef * apply_lap(power_gamma(z, gamma)) - b
