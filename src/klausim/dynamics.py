@@ -309,7 +309,7 @@ def _pcg(lap, modes, cell_volume, eigenvalues, coef, deriv, res):
         y += alpha * p
         r -= alpha * q
         rr = _rowdot(r, r)
-    return coef * ((st * out) @ lap.T) - res
+    return coef * ((st * out) @ lap) - res
 
 
 def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
@@ -334,6 +334,8 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
         neg_lap = -coef * lap
 
         def apply_lap(z):
+            if len(z) >= _PCG_ROWS:  # a PCG batch: one GEMM, lap symmetric
+                return z @ lap
             return np.matmul(lap, z[..., None])[..., 0]  # lap @ each row
 
         def solve_row(d, r):
