@@ -321,9 +321,10 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
     search and stopping test.  Grids up to _DENSE_LIMIT cells solve the
     Newton systems directly: by dense LU, one row at a time, while fewer
     than _PCG_ROWS rows iterate, so a lone row and a small batch take the
-    bits of each row alone; by one masked, batched PCG (`_pcg`) for more.
-    A PCG update agrees with the LU one to about _PCG_RTOL, so each row of a
-    large batch ends within 1e-9 relative of its lone run, not bit for bit.
+    bits of each row alone; by one masked, batched PCG (`_pcg`) for more,
+    and then a residual of the rows is one GEMM too.  A PCG update agrees
+    with the LU one to about _PCG_RTOL, so each row of a large batch ends
+    within 1e-9 relative of its lone run, not bit for bit.
     Larger grids use matrix-free GMRES with a spectral preconditioner, one
     row at a time.  A failure names its row.
     """
