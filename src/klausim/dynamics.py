@@ -539,7 +539,7 @@ def step_frozen(
     state: CoupledState,
     eta: np.ndarray,
     xi: np.ndarray,
-    phi_value: float,
+    phi,
     model: ModelConfig,
     solver: SolverConfig,
     dw1: Optional[np.ndarray],
@@ -547,10 +547,16 @@ def step_frozen(
     drift1: Optional[np.ndarray] = None,
     drift2: Optional[np.ndarray] = None,
 ) -> CoupledState:
-    """Coupled step with the quadratic reaction frozen at phi * eta * xi^2."""
-    if not 0.0 <= phi_value <= 1.0:
-        raise ValueError(f"cutoff value {phi_value} outside [0, 1]")
-    react = phi_value * eta * xi * xi
+    """Coupled step with the quadratic reaction frozen at phi * eta * xi^2.
+
+    A batch state (P,) + grid takes frozen fields of the same shape and a
+    cutoff value per row, phi of shape (P,); a scalar phi serves every row.
+    Each row's product rounds as the scalar product of its lone step."""
+    phi = np.asarray(phi, dtype=float)
+    bad = np.extract(~((phi >= 0.0) & (phi <= 1.0)), phi)
+    if bad.size:
+        raise ValueError(f"cutoff value {bad[0]} outside [0, 1]")
+    react = phi.reshape(phi.shape + (1,) * (eta.ndim - phi.ndim)) * eta * xi * xi
     return _lie_step(basis, state, model, solver, dw1, dw2, drift1, drift2,
                      react)
 
@@ -576,40 +582,44 @@ def _drive(state, solver, n_steps, step, increments, paths=None):
     dw2) takes the noise increments(n) returns.  The per-step policy for
     every caller: a Newton failure gets the step index, nonneg_policy=project
     clips negative values to zero, and a non-finite state aborts the run.  A
-    batch of paths gets the same policy on every row, and a failing row keeps
-    its index; `paths()`, if given, returns the global path index of each
-    row the step is given, and the error carries its row's as `path`."""
+    batch of paths gets the same policy on every row: the state `step`
+    returns holds the rows it was given, clipped points are counted per row,
+    and a failing or non-finite row keeps its index; `paths()`, if given,
+    returns the global path index of each row, and the error carries its
+    row's as `path` and names it."""
     project = solver.nonneg_policy == "project"
+
+    def failure(prefix, message, residual, iterations, n, row):
+        path = None if paths is None or row is None else int(paths()[row])
+        where = "" if path is None else f"path {path}: "
+        err = NewtonError(f"{prefix}{where}{message}", residual, iterations,
+                          step_index=n, row=row)
+        err.path = path
+        return err
+
     yield state, 0
     for n in range(n_steps):
         dw1, dw2 = increments(n)
         try:
             new = step(state, n, dw1, dw2)
         except NewtonError as exc:
-            path = None
-            if paths is not None and exc.row is not None:
-                path = int(paths()[exc.row])
-            where = "" if path is None else f"path {path}: "
-            err = NewtonError(
-                f"step {n} (t={state.t:.6g}): {where}{exc}",
-                exc.residual,
-                exc.iterations,
-                step_index=n,
-                row=exc.row,
-            )
-            err.path = path
-            raise err from exc
+            raise failure(f"step {n} (t={state.t:.6g}): ", exc, exc.residual,
+                          exc.iterations, n, exc.row) from exc
         clipped = 0
         if project:
             below_u = new.u < 0.0
             below_v = new.v < 0.0
-            clipped = int(below_u.sum() + below_v.sum())
+            clipped = (np.count_nonzero(below_u.reshape(len(new.u), -1), axis=1)
+                       + np.count_nonzero(below_v.reshape(len(new.v), -1),
+                                          axis=1))
             new.u[below_u] = 0.0
             new.v[below_v] = 0.0
         if not (np.isfinite(new.u).all() and np.isfinite(new.v).all()):
-            raise NewtonError(
-                f"non-finite state after step {n}", float("nan"), -1, step_index=n
-            )
+            finite = [np.isfinite(f).reshape(len(f), -1).all(axis=1)
+                      for f in (new.u, new.v)]
+            row = int(np.argmin(finite[0] & finite[1]))
+            raise failure("", f"non-finite state after step {n}",
+                          float("nan"), -1, n, row)
         state = new
         yield state, clipped
 
@@ -638,25 +648,25 @@ def _run_paths(scenario, paths, observe) -> CoupledState:
         return _increment_rows(spec, basis, solver.dt, keys[live],
                                n - start[live])
 
-    def step(state, n, dw1, dw2):  # the live rows move, in place
-        rows = CoupledState(state.u[live], state.v[live], state.t)
-        moved = step_coupled(basis, rows, model, solver, dw1, dw2,
-                             drift1, drift2)
-        state.u[live], state.v[live] = moved.u, moved.v
-        return CoupledState(state.u, state.v, moved.t)
+    def step(state, n, dw1, dw2):  # the live rows move
+        rows = CoupledState(batch.u[live], batch.v[live], state.t)
+        return step_coupled(basis, rows, model, solver, dw1, dw2,
+                            drift1, drift2)
 
-    state = CoupledState(*(np.repeat(f[None], len(paths), axis=0)
+    batch = CoupledState(*(np.repeat(f[None], len(paths), axis=0)
                            for f in (scenario.u0, scenario.v0)), 0.0)
-    for n, (state, _) in enumerate(_drive(state, solver, solver.n_steps, step,
+    for n, (state, _) in enumerate(_drive(batch, solver, solver.n_steps, step,
                                           increments, lambda: paths[live])):
-        live, climb = observe(n, state.u, state.v, live, rung)
+        if n:
+            batch.u[live], batch.v[live] = state.u, state.v
+        live, climb = observe(n, batch.u, batch.v, live, rung)
         if len(climb):
             rung[climb] += 1
             start[climb] = n
             keys[climb] = _path_keys(spec, paths[climb], rung[climb])
         if not len(live):
             break
-    return state
+    return CoupledState(batch.u, batch.v, state.t)
 
 
 def _path_increments(noise_path: Optional[NoisePath], solver: SolverConfig):
@@ -708,59 +718,75 @@ def _norm_rows(basis, u, v, model, solver) -> tuple:
 
 
 def _record_run(basis, u0, v0, model, solver, step, increments, cutoff,
-                stride) -> Trajectory:
-    """Drive `step` over solver.n_steps from one path's fields u0, v0,
-    stepped as a batch of one, and record the norm ledger, the h column
-    (NaN without `cutoff`) and every stride-th state plus the last."""
-    u = np.array(u0, dtype=float)[None]
-    v = np.array(v0, dtype=float)[None]
-    if u.shape[1:] != basis.grid_shape or v.shape != u.shape:
+                stride, h=None) -> list[Trajectory]:
+    """Drive `step` over solver.n_steps from P copies of one path's fields
+    u0, v0, stepped as one batch, and record each row's norm ledger, h
+    column (NaN without `cutoff`) and every stride-th state plus the last:
+    one Trajectory per row, each holding snapshot arrays of its own.
+
+    h, if given, is a (P, n_steps + 1) array that receives the h columns as
+    the run goes, so a step can read each row's h up to its own time; else
+    P = 1.  Each row's h comes from running sums of its rates, added in step
+    order as _h_column's cumsum adds them, and raised to nu on arrays."""
+    u0 = np.asarray(u0, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
+    if u0.shape != basis.grid_shape or v0.shape != u0.shape:
         raise ValueError(
-            f"initial fields {np.shape(u0)}/{np.shape(v0)} do not match grid "
+            f"initial fields {u0.shape}/{v0.shape} do not match grid "
             f"{basis.grid_shape}"
         )
     n_steps = solver.n_steps
-    rows, rates, snap_idx, snapshots_u, snapshots_v = [], [], [], [], []
-
-    def record(n, u, v):
-        rows.append(_norm_rows(basis, u, v, model, solver))
-        if cutoff is not None and n < n_steps:
-            rates.append(_h_rate_rows(u, v, cutoff))
-        if n % stride == 0 or n == n_steps:
-            snap_idx.append(n)
-            snapshots_u.append(u[0].copy())
-            snapshots_v.append(v[0].copy())
-
-    projected = 0
+    if h is None:
+        h = np.empty((1, n_steps + 1))
+    rows = len(h)
+    h[:] = np.nan
+    snap_idx = list(range(0, n_steps + 1, stride))
+    if snap_idx[-1] != n_steps:
+        snap_idx.append(n_steps)
+    snap_shape = (len(snap_idx),) + u0.shape
+    snaps = [(np.empty(snap_shape), np.empty(snap_shape)) for _ in range(rows)]
+    ledger = np.empty((len(Trajectory.NORM_COLUMNS) - 1, rows, n_steps + 1))
+    sums = np.zeros((2, rows))  # running sums of the two h integrands
+    projected = np.zeros(rows, dtype=int)
+    state = CoupledState(np.repeat(u0[None], rows, axis=0),
+                         np.repeat(v0[None], rows, axis=0), 0.0)
+    snap = 0
     for n, (state, clipped) in enumerate(_drive(
-        CoupledState(u, v, 0.0), solver, n_steps, step, increments
+        state, solver, n_steps, step, increments
     )):
         projected += clipped
-        record(n, state.u, state.v)
+        ledger[:, :, n] = _norm_rows(basis, state.u, state.v, model, solver)
+        if cutoff is not None:
+            h[:, n] = _h_budget(sums[0], sums[1], solver.dt, cutoff.nu) \
+                if n else 0.0
+            if n < n_steps:
+                sums += _h_rate_rows(state.u, state.v, cutoff)
+        if n == snap_idx[snap]:
+            for (snap_u, snap_v), u, v in zip(snaps, state.u, state.v):
+                snap_u[snap], snap_v[snap] = u, v
+            snap += 1
 
-    ledger = np.array(rows, dtype=float)[:, :, 0]  # (record, column)
-    columns = dict(zip(Trajectory.NORM_COLUMNS[:-1], ledger.T))
-    if cutoff is None:
-        columns["h"] = np.full(n_steps + 1, np.nan)
-    else:
-        rates = np.array(rates, dtype=float).reshape(n_steps, 2)
-        columns["h"] = _h_column(rates[:, 0], rates[:, 1], solver.dt, cutoff.nu)
     times = np.arange(n_steps + 1) * solver.dt
-    flags = {
-        "completed": True,
-        "projected_points": projected,
-        "worst_min_u": float(columns["min_u"].min()),
-        "worst_min_v": float(columns["min_v"].min()),
-        "model_flags": model.hypothesis_flags(),
-    }
-    return Trajectory(
-        times=times,
-        norms=columns,
-        snapshot_times=times[np.array(snap_idx, dtype=int)],
-        u_snapshots=np.array(snapshots_u),
-        v_snapshots=np.array(snapshots_v),
-        flags=flags,
-    )
+    trajectories = []
+    for row, (snap_u, snap_v) in enumerate(snaps):
+        columns = dict(zip(Trajectory.NORM_COLUMNS[:-1], ledger[:, row]))
+        columns["h"] = h[row]
+        flags = {
+            "completed": True,
+            "projected_points": int(projected[row]),
+            "worst_min_u": float(columns["min_u"].min()),
+            "worst_min_v": float(columns["min_v"].min()),
+            "model_flags": model.hypothesis_flags(),
+        }
+        trajectories.append(Trajectory(
+            times=times,
+            norms=columns,
+            snapshot_times=times[snap_idx],
+            u_snapshots=snap_u,
+            v_snapshots=snap_v,
+            flags=flags,
+        ))
+    return trajectories
 
 
 def simulate_path(
@@ -793,4 +819,4 @@ def simulate_path(
     return _record_run(
         basis, u0, v0, model, solver, step, increments, cutoff,
         solver.snapshot_stride,
-    )
+    )[0]

@@ -27,6 +27,7 @@ import numpy as np
 from .basis import SpectralBasis
 from .dynamics import (
     ModelConfig,
+    NewtonError,
     SolverConfig,
     Trajectory,
     simulate_path,
@@ -40,6 +41,10 @@ from .dynamics import (
     _run_paths,
 )
 from .noise import NoisePath, NoiseSpec, generate_path
+
+# Picard sweeps run in lockstep as the rows of one batch: fewer than
+# dynamics._PCG_ROWS, so each row solves by LU and keeps its lone bits
+_SWEEP_ROWS = 8
 
 
 class PicardError(RuntimeError):
@@ -160,6 +165,39 @@ def h_functional(pair: FrozenPair, t: float, params: CutoffParams) -> float:
     return float(pair.h_values(params)[n])
 
 
+def _sweep(pair, rows, u0, v0, kappa, noise_path, model, solver, basis,
+           params) -> list[Trajectory]:
+    """`rows` sweeps of the operator as the rows of one batch, in lockstep
+    over the horizon: sweep 0 is frozen on `pair`, and sweep j on sweep
+    j - 1.  Step n of a sweep reads its frozen pair and h at t_n only, and
+    row j - 1 holds them once every row has taken n steps, so sweep j takes
+    its step n in the same batch step as sweep j - 1.  The rows stay below
+    dynamics._PCG_ROWS, so each solves by LU and keeps its lone bits."""
+    n_steps = solver.n_steps
+    if pair.n_times != n_steps + 1:
+        raise ValueError(
+            f"frozen pair has {pair.n_times} time slices for {n_steps} steps"
+        )
+    increments = _path_increments(noise_path, solver)
+    drift1, drift2 = _mult_drifts(basis, model, noise_path.spec, None)
+    h = np.empty((rows + 1, n_steps + 1))  # row 0 the pair's, j + 1 sweep j's
+    if pair.recorded_h is not None and pair.recorded_h[0] == params:
+        h[0] = pair.recorded_h[1]
+    else:
+        h[0] = pair.h_values(params)
+
+    def step(state, n, dw1, dw2):
+        eta = np.concatenate((pair.eta[n][None], state.u[:rows - 1]))
+        xi = np.concatenate((pair.xi[n][None], state.v[:rows - 1]))
+        return step_frozen(
+            basis, state, eta, xi, cutoff_phi(h[:rows, n], kappa),
+            model, solver, dw1, dw2, drift1, drift2,
+        )
+
+    return _record_run(basis, u0, v0, model, solver, step, increments, params,
+                       1, h[1:])
+
+
 def apply_V(
     pair: FrozenPair,
     u0: np.ndarray,
@@ -176,28 +214,11 @@ def apply_V(
     The reaction at step n uses phi_kappa(h(eta, xi, t_n)) * eta_n * xi_n^2;
     the output never feeds back into the reaction during the sweep.  The
     returned trajectory records h of the *output* fields (at a fixed point
-    the two agree within the iteration tolerance).
+    the two agree within the iteration tolerance).  This is the one-row case
+    of the lockstep sweeps `picard_solve` runs.
     """
-    n_steps = solver.n_steps
-    if pair.n_times != n_steps + 1:
-        raise ValueError(
-            f"frozen pair has {pair.n_times} time slices for {n_steps} steps"
-        )
-    increments = _path_increments(noise_path, solver)
-    drift1, drift2 = _mult_drifts(basis, model, noise_path.spec, None)
-    if pair.recorded_h is not None and pair.recorded_h[0] == params:
-        h = pair.recorded_h[1]
-    else:
-        h = pair.h_values(params)
-    phi = cutoff_phi(h, kappa)
-
-    def step(state, n, dw1, dw2):
-        return step_frozen(
-            basis, state, pair.eta[n], pair.xi[n], phi[n],
-            model, solver, dw1, dw2, drift1, drift2,
-        )
-
-    return _record_run(basis, u0, v0, model, solver, step, increments, params, 1)
+    return _sweep(pair, 1, u0, v0, kappa, noise_path, model, solver, basis,
+                  params)[0]
 
 
 def pair_distance(a: FrozenPair, b: FrozenPair, params: CutoffParams) -> float:
@@ -243,35 +264,62 @@ def picard_solve(
     most `tol` in the discrete Bochner distance; the convergence criterion
     is a numerical surrogate -- nothing guarantees contraction in general,
     so non-convergence raises with the residual history attached.
+
+    The sweeps run in batches of _SWEEP_ROWS, in lockstep.  Step n of a
+    sweep reads its frozen pair only at t_n (the reaction at t_n and h(t_n),
+    whose quadrature stops at t_(n-1)), so sweep k can take step n as soon
+    as sweep k - 1 has taken n steps: the rows of a batch advance together,
+    row k frozen on row k - 1 and row 0 on the carried pair (the zero pair,
+    `initial_pair`, or the last row of the previous batch).  Every row
+    keeps the bits of its sweep run alone, so the iterates, residuals and
+    result are those of running the sweeps one after another; the rows
+    after the first converged one are work thrown away.  A row whose step
+    fails reruns the batch without it and the rows after it; its error is
+    raised only if no earlier row converges, as the serial loop would.
     """
     if not (tol > 0 and max_iter >= 1):
         raise ValueError("need tol > 0 and max_iter >= 1")
-    n_steps = solver.n_steps
-    if initial_pair is None:
-        zero = FrozenPair.zero(basis, solver.dt, n_steps)
-        first = apply_V(zero, u0, v0, kappa, noise_path, model, solver, basis, params)
-        pair = FrozenPair.from_trajectory(first, params)
+    # the first sweep from the zero pair is the start, not an iterate
+    start = initial_pair is None
+    if start:
+        pair = FrozenPair.zero(basis, solver.dt, solver.n_steps)
     else:
         pair = initial_pair
     residuals: list[float] = []
-    for iteration in range(1, max_iter + 1):
-        traj = apply_V(pair, u0, v0, kappa, noise_path, model, solver, basis, params)
-        new_pair = FrozenPair.from_trajectory(traj, params)
-        r = pair_distance(new_pair, pair, params)
-        residuals.append(r)
-        pair = new_pair
-        if r <= tol:
-            return PicardResult(
-                trajectory=traj,
-                residuals=residuals,
-                iterations=iteration,
-                converged=True,
+    while True:
+        rows = min(_SWEEP_ROWS, max_iter - len(residuals) + start)
+        failed = None
+        while True:
+            try:
+                trajs = _sweep(pair, rows, u0, v0, kappa, noise_path, model,
+                               solver, basis, params)
+                break
+            except NewtonError as exc:
+                if not exc.row:  # the batch's first sweep: nothing before it
+                    raise
+                failed, rows = exc, exc.row
+        for traj in trajs:
+            new_pair = FrozenPair.from_trajectory(traj, params)
+            if start:
+                start = False
+            else:
+                residuals.append(pair_distance(new_pair, pair, params))
+                if residuals[-1] <= tol:
+                    return PicardResult(
+                        trajectory=traj,
+                        residuals=residuals,
+                        iterations=len(residuals),
+                        converged=True,
+                    )
+            pair = new_pair
+        if failed is not None:
+            raise failed
+        if len(residuals) == max_iter:
+            raise PicardError(
+                f"no fixed point after {max_iter} sweeps "
+                f"(last residual {residuals[-1]:.3e})",
+                residuals,
             )
-    raise PicardError(
-        f"no fixed point after {max_iter} sweeps "
-        f"(last residual {residuals[-1]:.3e})",
-        residuals,
-    )
 
 
 def first_exit_time(

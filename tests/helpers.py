@@ -1,14 +1,30 @@
 """Functions only the tests call: a quadrature, a band residual, a fitted
-Weyl constant, a trace normalisation, a deterministic pattern scenario and
-the end state of a recorded run."""
+Weyl constant, a trace normalisation, a deterministic pattern scenario, the
+end state of a recorded run, and the serial Picard loop."""
 
 import dataclasses
 
 import numpy as np
 
 from klausim.basis import SpectralBasis, analyze, build_basis, synthesize, weyl_count
-from klausim.dynamics import CoupledState, ModelConfig, SolverConfig, Trajectory
+from klausim.dynamics import (
+    CoupledState,
+    ModelConfig,
+    SolverConfig,
+    Trajectory,
+    step_frozen,
+    _mult_drifts,
+    _path_increments,
+    _record_run,
+)
 from klausim.fields import lp_norm
+from klausim.fixedpoint import (
+    FrozenPair,
+    PicardError,
+    PicardResult,
+    cutoff_phi,
+    pair_distance,
+)
 from klausim.noise import NoiseSpec
 from klausim.scenarios import (
     Scenario,
@@ -79,3 +95,46 @@ def final_state(traj: Trajectory) -> CoupledState:
     """The last recorded state of a run, as a copy."""
     return CoupledState(traj.u_snapshots[-1].copy(),
                         traj.v_snapshots[-1].copy(), float(traj.times[-1]))
+
+
+def sweep_serial(pair, u0, v0, kappa, noise_path, model, solver, basis,
+                 params) -> Trajectory:
+    """One sweep of the frozen operator stepped alone, a batch of one, with
+    phi taken from the pair's whole h column before the sweep starts."""
+    increments = _path_increments(noise_path, solver)
+    drift1, drift2 = _mult_drifts(basis, model, noise_path.spec, None)
+    if pair.recorded_h is not None and pair.recorded_h[0] == params:
+        h = pair.recorded_h[1]
+    else:
+        h = pair.h_values(params)
+    phi = cutoff_phi(h, kappa)
+
+    def step(state, n, dw1, dw2):
+        return step_frozen(basis, state, pair.eta[n], pair.xi[n], phi[n],
+                           model, solver, dw1, dw2, drift1, drift2)
+
+    return _record_run(basis, u0, v0, model, solver, step, increments, params,
+                       1)[0]
+
+
+def picard_serial(u0, v0, kappa, noise_path, model, solver, basis, params,
+                  tol=1e-8, max_iter=60, initial_pair=None) -> PicardResult:
+    """The Picard loop with one whole-horizon sweep after another: the oracle
+    for the lockstep batches of `picard_solve`."""
+    args = (u0, v0, kappa, noise_path, model, solver, basis, params)
+    if initial_pair is None:
+        zero = FrozenPair.zero(basis, solver.dt, solver.n_steps)
+        pair = FrozenPair.from_trajectory(sweep_serial(zero, *args), params)
+    else:
+        pair = initial_pair
+    residuals = []
+    for iteration in range(1, max_iter + 1):
+        traj = sweep_serial(pair, *args)
+        new_pair = FrozenPair.from_trajectory(traj, params)
+        residuals.append(pair_distance(new_pair, pair, params))
+        pair = new_pair
+        if residuals[-1] <= tol:
+            return PicardResult(trajectory=traj, residuals=residuals,
+                                iterations=iteration, converged=True)
+    raise PicardError(f"no fixed point after {max_iter} sweeps "
+                      f"(last residual {residuals[-1]:.3e})", residuals)

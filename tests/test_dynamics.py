@@ -1,5 +1,7 @@
 """Stepping kernels against closed forms and brute-force oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import fsolve
@@ -435,6 +437,63 @@ def test_two_dimensional_smoke():
     assert traj.flags["completed"]
     assert np.all(np.isfinite(traj.u_snapshots))
     assert traj.norms["min_u"].min() > 0.0
+
+
+def test_frozen_batch_rows_are_their_lone_steps(per64):
+    """A batch of three rows, each with its own frozen fields and cutoff
+    value, steps each row as the lone step with a scalar phi; a value
+    outside [0, 1] in any row is refused by value."""
+    model = ModelConfig(sigma1=0.3, sigma2=0.2)
+    solver = make_solver()
+    rng = np.random.default_rng(9)
+    u, v, eta, xi = (1.0 + 0.5 * rng.random((4, 3, 64)))
+    phi = np.array([1.0, 0.37, 0.0])
+    dw1, dw2 = 0.03 * rng.standard_normal((2, 64))
+    out = step_frozen(per64, CoupledState(u, v, 0.0), eta, xi, phi, model,
+                      solver, dw1, dw2)
+    for row in range(3):
+        lone = step_frozen(per64, CoupledState(u[row][None], v[row][None],
+                                               0.0), eta[row], xi[row],
+                           float(phi[row]), model, solver, dw1, dw2)
+        assert np.array_equal(out.u[row], lone.u[0])
+        assert np.array_equal(out.v[row], lone.v[0])
+    for bad in (1.5, np.nan):
+        with pytest.raises(ValueError, match=f"cutoff value {bad} outside"):
+            step_frozen(per64, CoupledState(u, v, 0.0), eta, xi,
+                        np.array([1.0, bad, 0.5]), model, solver, dw1, dw2)
+
+
+def test_driver_counts_clips_and_names_a_non_finite_row(per64):
+    """The time driver counts clipped points per row, and a row left
+    non-finite by a step aborts the run naming the row (and its path)."""
+    solver = make_solver(dt=0.1, t_final=0.3, nonneg_policy="project")
+    start = CoupledState(np.ones((3, 64)), np.ones((3, 64)), 0.0)
+
+    def step(state, n, dw1, dw2):
+        u = state.u - 0.0
+        u[1, :n + 1] = -1.0  # row 1 dips below zero at n + 1 points
+        v = state.v.copy()
+        if n == 2:
+            v[2, 5] = np.inf
+        return CoupledState(u, v, state.t + solver.dt)
+
+    def none(n):
+        return None, None
+
+    run = dynamics._drive(start, solver, 3, step, none)
+    clipped = [c for _, c in itertools.islice(run, 3)]
+    assert clipped[0] == 0
+    assert [list(c) for c in clipped[1:]] == [[0, 1, 0], [0, 2, 0]]
+    with pytest.raises(NewtonError) as err:
+        next(run)
+    assert str(err.value) == "non-finite state after step 2"
+    assert (err.value.row, err.value.step_index, err.value.path) == (2, 2, None)
+    paths = np.array([7, 8, 9])
+    run = dynamics._drive(start, solver, 3, step, none, lambda: paths)
+    with pytest.raises(NewtonError) as err:
+        list(run)
+    assert str(err.value) == "path 9: non-finite state after step 2"
+    assert (err.value.row, err.value.path) == (2, 9)
 
 
 def test_project_policy_clips_and_counts(per64):

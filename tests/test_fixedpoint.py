@@ -7,12 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import helpers
+from klausim import dynamics, fixedpoint
 from klausim.basis import build_basis
 from klausim.dynamics import (
     ModelConfig,
     NewtonError,
     SolverConfig,
     simulate_path,
+    step_frozen,
 )
 from klausim.fields import lp_norm
 from klausim.fixedpoint import (
@@ -448,6 +451,188 @@ def test_monotone_truncation(small):
         )
     )
     assert gap <= 10.0 * tol
+
+
+# ------------------------------------------------- lockstep Picard batches
+
+
+def _assert_same_solve(got, want):
+    """Iterations, residuals and every recorded array equal bit for bit."""
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert got.residuals == want.residuals
+    a, b = got.trajectory, want.trajectory
+    for name in ("times", "snapshot_times", "u_snapshots", "v_snapshots"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.norms.keys() == b.norms.keys()
+    for key in a.norms:
+        assert np.array_equal(a.norms[key], b.norms[key]), key
+    assert a.flags == b.flags
+
+
+def _picard_case(name):
+    """(scenario, kappa, tol): small data with phi = 1 throughout, and
+    exit data whose h crosses kappa, so that phi falls below 1."""
+    if name == "small":
+        return small_data_scenario(seed=4), 1.0, 1e-9
+    return exit_scenario(seed=2, n=16, t_final=0.05), 0.3, 1e-10
+
+
+def _both_solves(sc, kappa, tol, **kw):
+    path = generate_path(sc.noise, sc.basis, sc.solver.dt, sc.solver.n_steps)
+    args = (sc.u0, sc.v0, kappa, path, sc.model, sc.solver, sc.basis,
+            sc.cutoff.with_kappa(kappa))
+    return (picard_solve(*args, tol=tol, **kw),
+            helpers.picard_serial(*args, tol=tol, **kw))
+
+
+def test_sweep_batches_stay_on_lu():
+    """Every row of a sweep batch solves by LU, as a lone sweep does."""
+    assert fixedpoint._SWEEP_ROWS < dynamics._PCG_ROWS
+
+
+@pytest.mark.parametrize("case", ["small", "exit"])
+@pytest.mark.parametrize("rows", [None, 2])
+def test_picard_batches_match_the_serial_loop(case, rows, monkeypatch):
+    """Converging inside the first batch, and over several batches of 2
+    rows, gives the serial loop's iterates bit for bit."""
+    if rows is not None:
+        monkeypatch.setattr(fixedpoint, "_SWEEP_ROWS", rows)
+    sc, kappa, tol = _picard_case(case)
+    got, want = _both_solves(sc, kappa, tol)
+    assert want.iterations + 1 > 2  # the reaction-free start, then iterates
+    if rows is None:
+        assert want.iterations + 1 <= fixedpoint._SWEEP_ROWS
+    _assert_same_solve(got, want)
+
+
+@pytest.mark.parametrize("recorded", [True, False])
+@pytest.mark.parametrize("rows", [None, 2])
+def test_picard_batches_from_an_initial_pair(recorded, rows, monkeypatch):
+    """Row 0 of the first batch is frozen on the initial pair, with its
+    recorded h column or its own h_values."""
+    if rows is not None:
+        monkeypatch.setattr(fixedpoint, "_SWEEP_ROWS", rows)
+    sc, kappa, tol = _picard_case("exit")
+    path = generate_path(sc.noise, sc.basis, sc.solver.dt, sc.solver.n_steps)
+    params = sc.cutoff.with_kappa(kappa)
+    direct = simulate_path(sc.basis, sc.u0, sc.v0, sc.model, sc.solver, path,
+                           cutoff=params)
+    pair = FrozenPair.from_trajectory(direct, params if recorded else None)
+    got, want = _both_solves(sc, kappa, tol, initial_pair=pair)
+    _assert_same_solve(got, want)
+
+
+@pytest.mark.parametrize("rows, max_iter", [(None, 3), (2, 4)])
+def test_picard_batches_stop_at_max_iter(rows, max_iter, monkeypatch):
+    """The last batch is capped at max_iter, and the error carries the
+    serial loop's residuals."""
+    if rows is not None:
+        monkeypatch.setattr(fixedpoint, "_SWEEP_ROWS", rows)
+    sc, kappa, _ = _picard_case("small")
+    with pytest.raises(PicardError) as got:
+        _both_solves(sc, kappa, 1e-30, max_iter=max_iter)
+    path = generate_path(sc.noise, sc.basis, sc.solver.dt, sc.solver.n_steps)
+    with pytest.raises(PicardError) as want:
+        helpers.picard_serial(sc.u0, sc.v0, kappa, path, sc.model, sc.solver,
+                              sc.basis, sc.cutoff, tol=1e-30,
+                              max_iter=max_iter)
+    assert len(got.value.residuals) == max_iter
+    assert got.value.residuals == want.value.residuals
+    assert str(got.value) == str(want.value)
+
+
+def _serial_error(sc, kappa, tol, solver=None, model=None):
+    solver, model = solver or sc.solver, model or sc.model
+    path = generate_path(sc.noise, sc.basis, solver.dt, solver.n_steps)
+    args = (sc.u0, sc.v0, kappa, path, model, solver, sc.basis,
+            sc.cutoff.with_kappa(kappa))
+    with pytest.raises(NewtonError) as want:
+        helpers.picard_serial(*args, tol=tol)
+    with pytest.raises(NewtonError) as got:
+        picard_solve(*args, tol=tol)
+    return got.value, want.value
+
+
+def test_picard_row_newton_failure_is_the_serial_error():
+    """With constant water and no water noise the reaction-free start needs
+    no Newton iteration, and the first reacting sweep fails its first step
+    within one: the batch raises the serial loop's error."""
+    sc = exit_scenario(seed=3, n=32, t_final=0.03)
+    sc = dataclasses.replace(sc, u0=np.full(sc.basis.grid_shape, 0.9))
+    model = dataclasses.replace(sc.model, sigma1=0.0, chi=2.0)
+    solver = dataclasses.replace(sc.solver, newton_max_iter=1)
+    got, want = _serial_error(sc, 1.0, 1e-10, solver, model)
+    assert "Newton did not reach tolerance" in str(want)
+    assert str(got) == str(want)
+    assert (got.step_index, got.residual, got.iterations) == (
+        want.step_index, want.residual, want.iterations)
+    assert got.row == 1  # the first iterate; the serial sweep's lone row is 0
+
+
+def _break_sweep_after(monkeypatch, target, how):
+    """Make the sweep frozen on the field `target` fail at the step that
+    reads it, in the batches and in the serial loop alike: by a NewtonError
+    of its own, or by a non-finite state."""
+    def step(basis, state, eta, xi, phi, *args):
+        rows = np.reshape(eta, (-1, target.size))
+        hits = [i for i, e in enumerate(rows) if np.array_equal(e, target)]
+        if hits and how == "newton":
+            raise NewtonError("injected failure", 0.25, 2, row=hits[0])
+        new = step_frozen(basis, state, eta, xi, phi, *args)
+        if hits:
+            new.u[hits[0], 3] = np.nan
+        return new
+
+    monkeypatch.setattr(fixedpoint, "step_frozen", step)
+    monkeypatch.setattr(helpers, "step_frozen", step)
+
+
+@pytest.mark.parametrize("how", ["newton", "nonfinite"])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_picard_failing_row_after_convergence_is_dropped(how, rows,
+                                                         monkeypatch):
+    """The sweep after the converged one (iterate 3: row 3 of the first
+    batch, or row 0 of the second batch of 3) fails inside its batch; the
+    serial loop never runs it, so the batch reruns without it and returns
+    the serial result."""
+    if rows is not None:
+        monkeypatch.setattr(fixedpoint, "_SWEEP_ROWS", rows)
+    sc, kappa, tol = _picard_case("small")
+    want = _both_solves(sc, kappa, tol)[1]
+    assert want.iterations == 3
+    _break_sweep_after(monkeypatch, want.trajectory.u_snapshots[3], how)
+    got = _both_solves(sc, kappa, tol)[0]
+    _assert_same_solve(got, want)
+
+
+@pytest.mark.parametrize("how", ["newton", "nonfinite"])
+@pytest.mark.parametrize("rows", [None, 2])
+def test_picard_failing_row_before_convergence_raises(how, rows,
+                                                      monkeypatch):
+    """A sweep before convergence fails: the batch raises the serial loop's
+    error, with its message, step, residual and the failing row."""
+    if rows is not None:
+        monkeypatch.setattr(fixedpoint, "_SWEEP_ROWS", rows)
+    sc, kappa, tol = _picard_case("small")
+    path = generate_path(sc.noise, sc.basis, sc.solver.dt, sc.solver.n_steps)
+    sweeps = []
+    sweep = helpers.sweep_serial
+    monkeypatch.setattr(helpers, "sweep_serial",
+                        lambda *a: sweeps.append(sweep(*a)) or sweeps[-1])
+    helpers.picard_serial(sc.u0, sc.v0, kappa, path, sc.model, sc.solver,
+                          sc.basis, sc.cutoff, tol=tol)
+    assert len(sweeps) >= 4
+    monkeypatch.setattr(helpers, "sweep_serial", sweep)
+    _break_sweep_after(monkeypatch, sweeps[2].u_snapshots[3], how)
+    got, want = _serial_error(sc, kappa, tol)
+    message = "injected failure" if how == "newton" else "non-finite state"
+    assert message in str(want)
+    assert str(got) == str(want)
+    assert (got.step_index, got.iterations) == (want.step_index,
+                                                want.iterations)
+    assert np.array_equal(got.residual, want.residual, equal_nan=True)
+    assert want.row == 0
+    assert got.row == 3 % (rows or fixedpoint._SWEEP_ROWS)
 
 
 # ------------------------------------------------------------- exit times
