@@ -405,9 +405,12 @@ def uniqueness_experiment(
 ) -> UniquenessReport:
     """Same data, same noise, two different fixed-point starting iterates.
 
-    Run A starts from the default reaction-free sweep, run B from the zero
-    pair; both converge to the truncated-system solution, and the weak-norm
-    distance D between the results is the pathwise-uniqueness surrogate.
+    Run A starts from the default reaction-free sweep, run B from the pair
+    frozen at the initial data (eta_n = u0, xi_n = v0 at every step); both
+    converge to the truncated-system solution, and the weak-norm distance D
+    between the results is the pathwise-uniqueness surrogate.  (The zero
+    pair is no second start: its first sweep is run A's start, so run B
+    would retrace run A's orbit one sweep behind.)
     A control run with a different noise seed reports how far apart two
     genuinely different paths sit in the same metric.
     """
@@ -427,10 +430,13 @@ def uniqueness_experiment(
         sc.u0, sc.v0, kappa, path, sc.model, sc.solver, sc.basis, sc.cutoff,
         tol=picard_tol,
     )
-    zero_pair = FrozenPair.zero(sc.basis, sc.solver.dt, sc.solver.n_steps)
+    n_times = sc.solver.n_steps + 1
+    data_pair = FrozenPair(eta=np.repeat(sc.u0[None], n_times, axis=0),
+                           xi=np.repeat(sc.v0[None], n_times, axis=0),
+                           dt=sc.solver.dt)
     run_b = picard_solve(
         sc.u0, sc.v0, kappa, path, sc.model, sc.solver, sc.basis, sc.cutoff,
-        tol=picard_tol, initial_pair=zero_pair,
+        tol=picard_tol, initial_pair=data_pair,
     )
     distance = weak_norm_distance(
         sc.basis, run_a.trajectory, run_b.trajectory, hp.delta0

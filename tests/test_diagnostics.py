@@ -223,10 +223,12 @@ def test_report_from_leading_rows_matches_ensemble_moments():
 
 
 def test_uniqueness_same_fixed_point():
+    """The two starts are two orbits: D is small but not 0.  (Run B from
+    the zero pair retraced run A one sweep behind, with D = 0 exactly.)"""
     sc = uniqueness_scenario(seed=3)
     report = uniqueness_experiment(sc, tol=1e-6, control_seed=999)
     assert report.indistinguishable
-    assert report.distance <= 1e-6
+    assert 0.0 < report.distance <= 1e-6
     assert report.negative_control > 1e-2
 
 
