@@ -582,29 +582,31 @@ def _drive(state, solver, n_steps, step, increments, paths=None):
     dw2) takes the noise increments(n) returns.  The per-step policy for
     every caller: a Newton failure gets the step index, nonneg_policy=project
     clips negative values to zero, and a non-finite state aborts the run.  A
-    batch of paths gets the same policy on every row: the state `step`
-    returns holds the rows it was given, clipped points are counted per row,
-    and a failing or non-finite row keeps its index; `paths()`, if given,
-    returns the global path index of each row, and the error carries its
-    row's as `path` and names it."""
+    batch of paths gets the same policy on every row: clipped points are
+    counted per row, a failing row keeps its index, and a non-finite state
+    names its row of the state; `paths()`, if given, returns the global path
+    index of each row the step is given, and a Newton error carries its
+    row's as `path`."""
     project = solver.nonneg_policy == "project"
-
-    def failure(prefix, message, residual, iterations, n, row):
-        path = None if paths is None or row is None else int(paths()[row])
-        where = "" if path is None else f"path {path}: "
-        err = NewtonError(f"{prefix}{where}{message}", residual, iterations,
-                          step_index=n, row=row)
-        err.path = path
-        return err
-
     yield state, 0
     for n in range(n_steps):
         dw1, dw2 = increments(n)
         try:
             new = step(state, n, dw1, dw2)
         except NewtonError as exc:
-            raise failure(f"step {n} (t={state.t:.6g}): ", exc, exc.residual,
-                          exc.iterations, n, exc.row) from exc
+            path = None
+            if paths is not None and exc.row is not None:
+                path = int(paths()[exc.row])
+            where = "" if path is None else f"path {path}: "
+            err = NewtonError(
+                f"step {n} (t={state.t:.6g}): {where}{exc}",
+                exc.residual,
+                exc.iterations,
+                step_index=n,
+                row=exc.row,
+            )
+            err.path = path
+            raise err from exc
         clipped = 0
         if project:
             below_u = new.u < 0.0
@@ -617,9 +619,10 @@ def _drive(state, solver, n_steps, step, increments, paths=None):
         if not (np.isfinite(new.u).all() and np.isfinite(new.v).all()):
             finite = [np.isfinite(f).reshape(len(f), -1).all(axis=1)
                       for f in (new.u, new.v)]
-            row = int(np.argmin(finite[0] & finite[1]))
-            raise failure("", f"non-finite state after step {n}",
-                          float("nan"), -1, n, row)
+            raise NewtonError(
+                f"non-finite state after step {n}", float("nan"), -1,
+                step_index=n, row=int(np.argmin(finite[0] & finite[1])),
+            )
         state = new
         yield state, clipped
 
@@ -648,25 +651,25 @@ def _run_paths(scenario, paths, observe) -> CoupledState:
         return _increment_rows(spec, basis, solver.dt, keys[live],
                                n - start[live])
 
-    def step(state, n, dw1, dw2):  # the live rows move
-        rows = CoupledState(batch.u[live], batch.v[live], state.t)
-        return step_coupled(basis, rows, model, solver, dw1, dw2,
-                            drift1, drift2)
+    def step(state, n, dw1, dw2):  # the live rows move, in place
+        rows = CoupledState(state.u[live], state.v[live], state.t)
+        moved = step_coupled(basis, rows, model, solver, dw1, dw2,
+                             drift1, drift2)
+        state.u[live], state.v[live] = moved.u, moved.v
+        return CoupledState(state.u, state.v, moved.t)
 
-    batch = CoupledState(*(np.repeat(f[None], len(paths), axis=0)
+    state = CoupledState(*(np.repeat(f[None], len(paths), axis=0)
                            for f in (scenario.u0, scenario.v0)), 0.0)
-    for n, (state, _) in enumerate(_drive(batch, solver, solver.n_steps, step,
+    for n, (state, _) in enumerate(_drive(state, solver, solver.n_steps, step,
                                           increments, lambda: paths[live])):
-        if n:
-            batch.u[live], batch.v[live] = state.u, state.v
-        live, climb = observe(n, batch.u, batch.v, live, rung)
+        live, climb = observe(n, state.u, state.v, live, rung)
         if len(climb):
             rung[climb] += 1
             start[climb] = n
             keys[climb] = _path_keys(spec, paths[climb], rung[climb])
         if not len(live):
             break
-    return CoupledState(batch.u, batch.v, state.t)
+    return state
 
 
 def _path_increments(noise_path: Optional[NoisePath], solver: SolverConfig):
