@@ -759,9 +759,8 @@ def _record_run(basis, u0, v0, model, solver, step, increments, cutoff,
     )):
         projected += clipped
         ledger[:, :, n] = _norm_rows(basis, state.u, state.v, model, solver)
-        if cutoff is not None:
-            h[:, n] = _h_budget(sums[0], sums[1], solver.dt, cutoff.nu) \
-                if n else 0.0
+        if cutoff is not None:  # h(0) = 0 from sums of zero
+            h[:, n] = _h_budget(sums[0], sums[1], solver.dt, cutoff.nu)
             if n < n_steps:
                 sums += _h_rate_rows(state.u, state.v, cutoff)
         if n == snap_idx[snap]:

@@ -168,11 +168,8 @@ def h_functional(pair: FrozenPair, t: float, params: CutoffParams) -> float:
 def _sweep(pair, rows, u0, v0, kappa, noise_path, model, solver, basis,
            params) -> list[Trajectory]:
     """`rows` sweeps of the operator as the rows of one batch, in lockstep
-    over the horizon: sweep 0 is frozen on `pair`, and sweep j on sweep
-    j - 1.  Step n of a sweep reads its frozen pair and h at t_n only, and
-    row j - 1 holds them once every row has taken n steps, so sweep j takes
-    its step n in the same batch step as sweep j - 1.  The rows stay below
-    dynamics._PCG_ROWS, so each solves by LU and keeps its lone bits."""
+    (see `picard_solve`): sweep 0 is frozen on `pair`, and sweep j at step
+    n on row j - 1 of the batch state and its h column as recorded so far."""
     n_steps = solver.n_steps
     if pair.n_times != n_steps + 1:
         raise ValueError(

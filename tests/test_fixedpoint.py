@@ -505,6 +505,27 @@ def test_picard_batches_match_the_serial_loop(case, rows, monkeypatch):
     _assert_same_solve(got, want)
 
 
+@pytest.mark.parametrize("rows", [None, 2])
+def test_picard_batches_count_projected_points_per_row(rows, monkeypatch):
+    """Under nonneg_policy=project each row counts its own clipped points:
+    the result's count is that of its serial sweep."""
+    if rows is not None:
+        monkeypatch.setattr(fixedpoint, "_SWEEP_ROWS", rows)
+    model = ModelConfig(r_u=0.2, r_v=0.1, chi=10.0, sigma1=0.0, sigma2=0.0)
+    basis, solver, path, _ = _periodic64_setup(
+        dt=0.01, t_final=0.3, nonneg_policy="project"
+    )
+    x = basis.axis_coordinates()
+    u0 = 0.2 + np.sin(2 * np.pi * x)  # the sweeps clip 97, 150, 115, ...
+    v0 = 1.0 + np.cos(2 * np.pi * x)
+    args = (u0, v0, 1.0, path, model, solver, basis, default_cutoff())
+    got = picard_solve(*args, tol=1e-12)
+    want = helpers.picard_serial(*args, tol=1e-12)
+    assert want.iterations >= 3
+    assert want.trajectory.flags["projected_points"] > 0
+    _assert_same_solve(got, want)
+
+
 @pytest.mark.parametrize("recorded", [True, False])
 @pytest.mark.parametrize("rows", [None, 2])
 def test_picard_batches_from_an_initial_pair(recorded, rows, monkeypatch):
