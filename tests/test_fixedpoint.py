@@ -477,10 +477,14 @@ def _picard_case(name):
     return exit_scenario(seed=2, n=16, t_final=0.05), 0.3, 1e-10
 
 
-def _both_solves(sc, kappa, tol, **kw):
+def _picard_args(sc, kappa):
     path = generate_path(sc.noise, sc.basis, sc.solver.dt, sc.solver.n_steps)
-    args = (sc.u0, sc.v0, kappa, path, sc.model, sc.solver, sc.basis,
+    return (sc.u0, sc.v0, kappa, path, sc.model, sc.solver, sc.basis,
             sc.cutoff.with_kappa(kappa))
+
+
+def _both_solves(sc, kappa, tol, **kw):
+    args = _picard_args(sc, kappa)
     return (picard_solve(*args, tol=tol, **kw),
             helpers.picard_serial(*args, tol=tol, **kw))
 
@@ -499,7 +503,7 @@ def test_picard_batches_match_the_serial_loop(case, rows, monkeypatch):
         monkeypatch.setattr(fixedpoint, "_SWEEP_ROWS", rows)
     sc, kappa, tol = _picard_case(case)
     got, want = _both_solves(sc, kappa, tol)
-    assert want.iterations + 1 > 2  # the reaction-free start, then iterates
+    assert want.iterations >= 2
     if rows is None:
         assert want.iterations + 1 <= fixedpoint._SWEEP_ROWS
     _assert_same_solve(got, want)
@@ -549,24 +553,18 @@ def test_picard_batches_stop_at_max_iter(rows, max_iter, monkeypatch):
     serial loop's residuals."""
     if rows is not None:
         monkeypatch.setattr(fixedpoint, "_SWEEP_ROWS", rows)
-    sc, kappa, _ = _picard_case("small")
+    args = _picard_args(*_picard_case("small")[:2])
     with pytest.raises(PicardError) as got:
-        _both_solves(sc, kappa, 1e-30, max_iter=max_iter)
-    path = generate_path(sc.noise, sc.basis, sc.solver.dt, sc.solver.n_steps)
+        picard_solve(*args, tol=1e-30, max_iter=max_iter)
     with pytest.raises(PicardError) as want:
-        helpers.picard_serial(sc.u0, sc.v0, kappa, path, sc.model, sc.solver,
-                              sc.basis, sc.cutoff, tol=1e-30,
-                              max_iter=max_iter)
+        helpers.picard_serial(*args, tol=1e-30, max_iter=max_iter)
     assert len(got.value.residuals) == max_iter
     assert got.value.residuals == want.value.residuals
     assert str(got.value) == str(want.value)
 
 
-def _serial_error(sc, kappa, tol, solver=None, model=None):
-    solver, model = solver or sc.solver, model or sc.model
-    path = generate_path(sc.noise, sc.basis, solver.dt, solver.n_steps)
-    args = (sc.u0, sc.v0, kappa, path, model, solver, sc.basis,
-            sc.cutoff.with_kappa(kappa))
+def _serial_error(sc, kappa, tol):
+    args = _picard_args(sc, kappa)
     with pytest.raises(NewtonError) as want:
         helpers.picard_serial(*args, tol=tol)
     with pytest.raises(NewtonError) as got:
@@ -579,10 +577,11 @@ def test_picard_row_newton_failure_is_the_serial_error():
     no Newton iteration, and the first reacting sweep fails its first step
     within one: the batch raises the serial loop's error."""
     sc = exit_scenario(seed=3, n=32, t_final=0.03)
-    sc = dataclasses.replace(sc, u0=np.full(sc.basis.grid_shape, 0.9))
-    model = dataclasses.replace(sc.model, sigma1=0.0, chi=2.0)
-    solver = dataclasses.replace(sc.solver, newton_max_iter=1)
-    got, want = _serial_error(sc, 1.0, 1e-10, solver, model)
+    sc = dataclasses.replace(
+        sc, u0=np.full(sc.basis.grid_shape, 0.9),
+        model=dataclasses.replace(sc.model, sigma1=0.0, chi=2.0),
+        solver=dataclasses.replace(sc.solver, newton_max_iter=1))
+    got, want = _serial_error(sc, 1.0, 1e-10)
     assert "Newton did not reach tolerance" in str(want)
     assert str(got) == str(want)
     assert (got.step_index, got.residual, got.iterations) == (
@@ -635,14 +634,12 @@ def test_picard_failing_row_before_convergence_raises(how, rows,
     if rows is not None:
         monkeypatch.setattr(fixedpoint, "_SWEEP_ROWS", rows)
     sc, kappa, tol = _picard_case("small")
-    path = generate_path(sc.noise, sc.basis, sc.solver.dt, sc.solver.n_steps)
     sweeps = []
     sweep = helpers.sweep_serial
     monkeypatch.setattr(helpers, "sweep_serial",
                         lambda *a: sweeps.append(sweep(*a)) or sweeps[-1])
-    helpers.picard_serial(sc.u0, sc.v0, kappa, path, sc.model, sc.solver,
-                          sc.basis, sc.cutoff, tol=tol)
-    assert len(sweeps) >= 4
+    helpers.picard_serial(*_picard_args(sc, kappa), tol=tol)
+    assert len(sweeps) == 4  # the start and iterates 1-3
     monkeypatch.setattr(helpers, "sweep_serial", sweep)
     _break_sweep_after(monkeypatch, sweeps[2].u_snapshots[3], how)
     got, want = _serial_error(sc, kappa, tol)
