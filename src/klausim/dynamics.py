@@ -583,10 +583,10 @@ def _drive(state, solver, n_steps, step, increments, paths=None):
     every caller: a Newton failure gets the step index, nonneg_policy=project
     clips negative values to zero, and a non-finite state aborts the run.  A
     batch of paths gets the same policy on every row: clipped points are
-    counted per row, a failing row keeps its index, and a non-finite state
-    names its row of the state; `paths()`, if given, returns the global path
-    index of each row the step is given, and a Newton error carries its
-    row's as `path`."""
+    counted per row, and a failing row keeps its index.  `paths()`, if
+    given, returns the global path index of each row the step is given, and
+    a Newton error carries its row's as `path`; without it a non-finite
+    state names its row of the state, which then indexes the same rows."""
     project = solver.nonneg_policy == "project"
     yield state, 0
     for n in range(n_steps):
@@ -617,11 +617,14 @@ def _drive(state, solver, n_steps, step, increments, paths=None):
             new.u[below_u] = 0.0
             new.v[below_v] = 0.0
         if not (np.isfinite(new.u).all() and np.isfinite(new.v).all()):
-            finite = [np.isfinite(f).reshape(len(f), -1).all(axis=1)
-                      for f in (new.u, new.v)]
+            row = None
+            if paths is None:
+                finite = [np.isfinite(f).reshape(len(f), -1).all(axis=1)
+                          for f in (new.u, new.v)]
+                row = int(np.argmin(finite[0] & finite[1]))
             raise NewtonError(
                 f"non-finite state after step {n}", float("nan"), -1,
-                step_index=n, row=int(np.argmin(finite[0] & finite[1])),
+                step_index=n, row=row,
             )
         state = new
         yield state, clipped

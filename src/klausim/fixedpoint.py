@@ -42,7 +42,7 @@ from .dynamics import (
 )
 from .noise import NoisePath, NoiseSpec, generate_path
 
-# Picard sweeps run in lockstep as the rows of one batch: fewer than
+# the most Picard sweeps one lockstep batch runs: fewer than
 # dynamics._PCG_ROWS, so each row solves by LU and keeps its lone bits
 _SWEEP_ROWS = 8
 
@@ -262,17 +262,23 @@ def picard_solve(
     is a numerical surrogate -- nothing guarantees contraction in general,
     so non-convergence raises with the residual history attached.
 
-    The sweeps run in batches of _SWEEP_ROWS, in lockstep.  Step n of a
-    sweep reads its frozen pair only at t_n (the reaction at t_n and h(t_n),
-    whose quadrature stops at t_(n-1)), so sweep k can take step n as soon
-    as sweep k - 1 has taken n steps: the rows of a batch advance together,
+    The sweeps run in batches, in lockstep.  Step n of a sweep reads its
+    frozen pair only at t_n (the reaction at t_n and h(t_n), whose
+    quadrature stops at t_(n-1)), so sweep k can take step n as soon as
+    sweep k - 1 has taken n steps: the rows of a batch advance together,
     row k frozen on row k - 1 and row 0 on the carried pair (the zero pair,
     `initial_pair`, or the last row of the previous batch).  Every row
     keeps the bits of its sweep run alone, so the iterates, residuals and
-    result are those of running the sweeps one after another; the rows
-    after the first converged one are work thrown away.  A row whose step
-    fails reruns the batch without it and the rows after it; its error is
-    raised only if no earlier row converges, as the serial loop would.
+    result are those of running the sweeps one after another.  A batch
+    shares the per-step overhead among its rows, but each row still does
+    its own solves, so the rows after the first converged one are work
+    thrown away: `_batch_rows` sizes each batch from the residuals so far.
+
+    A failing row that names itself (a NewtonError, or a non-finite state)
+    reruns the batch without it and the rows after it; its error is raised
+    only if no earlier row converges, as the serial loop would.  Any other
+    failure reruns the batch's first sweep alone, so an error is raised
+    only by a sweep the serial loop runs.
     """
     if not (tol > 0 and max_iter >= 1):
         raise ValueError("need tol > 0 and max_iter >= 1")
@@ -284,17 +290,22 @@ def picard_solve(
         pair = initial_pair
     residuals: list[float] = []
     while True:
-        rows = min(_SWEEP_ROWS, max_iter - len(residuals) + start)
+        rows = min(_batch_rows(residuals, tol, start),
+                   max_iter - len(residuals) + start)
         failed = None
         while True:
             try:
                 trajs = _sweep(pair, rows, u0, v0, kappa, noise_path, model,
                                solver, basis, params)
                 break
-            except NewtonError as exc:
-                if not exc.row:  # the batch's first sweep: nothing before it
+            except Exception as exc:
+                row = exc.row if isinstance(exc, NewtonError) else None
+                if row is None and rows > 1:
+                    failed, rows = None, 1
+                elif row:  # a row after the batch's first
+                    failed, rows = exc, row
+                else:
                     raise
-                failed, rows = exc, exc.row
         for traj in trajs:
             new_pair = FrozenPair.from_trajectory(traj, params)
             if start:
@@ -317,6 +328,22 @@ def picard_solve(
                 f"(last residual {residuals[-1]:.3e})",
                 residuals,
             )
+
+
+def _batch_rows(residuals: list[float], tol: float, start: bool) -> int:
+    """Rows of the next lockstep batch, at most _SWEEP_ROWS: enough for two
+    residuals at first (one more for the start sweep), then the sweeps the
+    last contraction ratio says are left to reach tol, or _SWEEP_ROWS
+    without contraction.  Picard residuals on a finite horizon tend to fall
+    faster than geometrically (like C^k T^k / k! for a Volterra operator),
+    so the estimate rarely falls short; when it does, one more batch runs."""
+    if len(residuals) < 2:
+        return min(_SWEEP_ROWS, 2 - len(residuals) + start)
+    ratio = residuals[-1] / residuals[-2]
+    if not ratio < 1.0:
+        return _SWEEP_ROWS
+    left = math.log(tol / residuals[-1]) / math.log(ratio)
+    return max(1, min(_SWEEP_ROWS, math.ceil(left)))
 
 
 def first_exit_time(

@@ -490,6 +490,28 @@ def test_driver_counts_clips_and_names_a_non_finite_row(per64):
     assert (err.value.row, err.value.step_index, err.value.path) == (2, 2, None)
 
 
+def test_non_finite_path_batch_names_no_row(monkeypatch):
+    """In a path batch a row is an index of the live rows, which the time
+    driver cannot map a row of the whole state to: a non-finite state names
+    its step, but neither a row nor a path."""
+    sc = exit_scenario(seed=808, n=32, t_final=0.02)
+    step = dynamics.step_coupled
+
+    def poisoned(basis, state, *args):
+        new = step(basis, state, *args)
+        if state.t > 0.0:
+            new.u[-1, 0] = np.nan
+        return new
+
+    monkeypatch.setattr(dynamics, "step_coupled", poisoned)
+    with pytest.raises(NewtonError) as err:
+        dynamics._run_paths(sc, np.arange(5, 9),
+                            lambda n, u, v, live, rung: (live[1:], ()))
+    assert str(err.value) == "non-finite state after step 1"
+    assert (err.value.row, err.value.step_index, err.value.path) == (
+        None, 1, None)
+
+
 def test_project_policy_clips_and_counts(per64):
     model = ModelConfig(r_u=0.0, r_v=0.0, chi=0.0, f=5.0, sigma1=0.0, sigma2=0.0)
     solver = make_solver(dt=0.1, t_final=0.2, nonneg_policy="project")

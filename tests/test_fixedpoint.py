@@ -483,6 +483,29 @@ def _picard_args(sc, kappa):
             sc.cutoff.with_kappa(kappa))
 
 
+def _batches(monkeypatch, rows=None, full=False):
+    """Cap the lockstep batches at `rows` sweeps; with `full`, run every
+    batch at the cap instead of sizing it from the residuals."""
+    if rows is not None:
+        monkeypatch.setattr(fixedpoint, "_SWEEP_ROWS", rows)
+    if full:
+        monkeypatch.setattr(fixedpoint, "_batch_rows",
+                            lambda *a: fixedpoint._SWEEP_ROWS)
+
+
+def _count_sweeps(monkeypatch):
+    """The rows of every lockstep batch run from now on, in a list."""
+    rows = []
+    sweep = fixedpoint._sweep
+
+    def spy(pair, n_rows, *args):
+        rows.append(n_rows)
+        return sweep(pair, n_rows, *args)
+
+    monkeypatch.setattr(fixedpoint, "_sweep", spy)
+    return rows
+
+
 def _both_solves(sc, kappa, tol, **kw):
     args = _picard_args(sc, kappa)
     return (picard_solve(*args, tol=tol, **kw),
@@ -496,16 +519,45 @@ def test_sweep_batches_stay_on_lu():
 
 @pytest.mark.parametrize("case", ["small", "exit"])
 @pytest.mark.parametrize("rows", [None, 2])
-def test_picard_batches_match_the_serial_loop(case, rows, monkeypatch):
-    """Converging inside the first batch, and over several batches of 2
-    rows, gives the serial loop's iterates bit for bit."""
-    if rows is not None:
-        monkeypatch.setattr(fixedpoint, "_SWEEP_ROWS", rows)
+@pytest.mark.parametrize("full", [False, True])
+def test_picard_batches_match_the_serial_loop(case, rows, full, monkeypatch):
+    """Batches sized from the residuals, full batches converging inside the
+    first, and several batches of at most 2 rows all give the serial
+    loop's iterates bit for bit."""
+    _batches(monkeypatch, rows, full)
     sc, kappa, tol = _picard_case(case)
     got, want = _both_solves(sc, kappa, tol)
     assert want.iterations >= 2
-    if rows is None:
+    if full and rows is None:
         assert want.iterations + 1 <= fixedpoint._SWEEP_ROWS
+    _assert_same_solve(got, want)
+
+
+def test_batch_rows_follow_the_contraction():
+    """Two residuals' worth first, then the sweeps the last ratio says are
+    left, within [1, _SWEEP_ROWS]; no contraction runs a full batch."""
+    cap = fixedpoint._SWEEP_ROWS
+    rows = fixedpoint._batch_rows
+    assert (rows([], 1e-8, True), rows([], 1e-8, False)) == (3, 2)
+    assert rows([1e-1], 1e-8, False) == 1
+    assert rows([1e-1, 1e-2], 2e-8, False) == 6  # 5.7 sweeps of 10^-1
+    assert rows([1e-1, 1e-2], 9e-3, False) == 1
+    assert rows([1e-1, 1e-6], 1e-300, False) == cap
+    assert rows([1e-2, 1e-2], 1e-8, False) == cap
+    assert rows([1e-2, 5e-2], 1e-8, False) == cap
+
+
+def test_picard_runs_the_serial_sweeps_when_two_iterations_do():
+    """A solve that converges at its second iterate runs the start and two
+    sweeps, no more than the serial loop: a first batch of three rows."""
+    sc, kappa, _ = _picard_case("small")
+    want = helpers.picard_serial(*_picard_args(sc, kappa), tol=1e-9)
+    tol = want.residuals[1]
+    with pytest.MonkeyPatch.context() as mp:
+        rows = _count_sweeps(mp)
+        got, want = _both_solves(sc, kappa, tol)
+    assert want.iterations == 2
+    assert rows == [3]
     _assert_same_solve(got, want)
 
 
@@ -563,11 +615,11 @@ def test_picard_batches_stop_at_max_iter(rows, max_iter, monkeypatch):
     assert str(got.value) == str(want.value)
 
 
-def _serial_error(sc, kappa, tol):
+def _serial_error(sc, kappa, tol, kind=NewtonError):
     args = _picard_args(sc, kappa)
-    with pytest.raises(NewtonError) as want:
+    with pytest.raises(kind) as want:
         helpers.picard_serial(*args, tol=tol)
-    with pytest.raises(NewtonError) as got:
+    with pytest.raises(kind) as got:
         picard_solve(*args, tol=tol)
     return got.value, want.value
 
@@ -589,59 +641,92 @@ def test_picard_row_newton_failure_is_the_serial_error():
     assert got.row == 1  # the first iterate; the serial sweep's lone row is 0
 
 
-def _break_sweep_after(monkeypatch, target, how):
-    """Make the sweep frozen on the field `target` fail at the step that
-    reads it, in the batches and in the serial loop alike: by a NewtonError
-    of its own, or by a non-finite state."""
+def _break_sweep_after(monkeypatch, *failures):
+    """For each (target, how) of `failures`, make the sweep frozen on the
+    field `target` fail at the step that reads it, in the batches and in
+    the serial loop alike: by a NewtonError of its own, by a non-finite
+    state, or by an error that names no row."""
     def step(basis, state, eta, xi, phi, *args):
-        rows = np.reshape(eta, (-1, target.size))
-        hits = [i for i, e in enumerate(rows) if np.array_equal(e, target)]
-        if hits and how == "newton":
-            raise NewtonError("injected failure", 0.25, 2, row=hits[0])
+        rows = np.reshape(eta, (len(state.u), -1))
+        poisoned = []
+        for target, how in failures:
+            hits = [i for i, e in enumerate(rows)
+                    if np.array_equal(e, target.ravel())]
+            if hits and how == "newton":
+                raise NewtonError("injected failure", 0.25, 2, row=hits[0])
+            if hits and how == "other":
+                raise ValueError("injected failure")
+            poisoned += hits[:1]
         new = step_frozen(basis, state, eta, xi, phi, *args)
-        if hits:
-            new.u[hits[0], 3] = np.nan
+        for row in poisoned:
+            new.u[row, 3] = np.nan
         return new
 
     monkeypatch.setattr(fixedpoint, "step_frozen", step)
     monkeypatch.setattr(helpers, "step_frozen", step)
 
 
-@pytest.mark.parametrize("how", ["newton", "nonfinite"])
+@pytest.mark.parametrize("how", ["newton", "nonfinite", "other"])
 @pytest.mark.parametrize("rows", [None, 3])
 def test_picard_failing_row_after_convergence_is_dropped(how, rows,
                                                          monkeypatch):
-    """The sweep after the converged one (iterate 3: row 3 of the first
-    batch, or row 0 of the second batch of 3) fails inside its batch; the
-    serial loop never runs it, so the batch reruns without it and returns
-    the serial result."""
-    if rows is not None:
-        monkeypatch.setattr(fixedpoint, "_SWEEP_ROWS", rows)
+    """In full batches, the sweep after the converged one (row 4 of the
+    first batch, or row 1 of the second batch of 3) fails inside its batch.
+    The serial loop never runs it, so the batch reruns without it (or, for
+    an error that names no row, its first sweep alone) and returns the
+    serial result."""
+    _batches(monkeypatch, rows, full=True)
     sc, kappa, tol = _picard_case("small")
     want = _both_solves(sc, kappa, tol)[1]
     assert want.iterations == 3
-    _break_sweep_after(monkeypatch, want.trajectory.u_snapshots[3], how)
+    _break_sweep_after(monkeypatch, (want.trajectory.u_snapshots[3], how))
+    sweeps = _count_sweeps(monkeypatch)
     got = _both_solves(sc, kappa, tol)[0]
+    assert len(sweeps) > 1  # the failing batch ran again
     _assert_same_solve(got, want)
 
 
-@pytest.mark.parametrize("how", ["newton", "nonfinite"])
-@pytest.mark.parametrize("rows", [None, 2])
-def test_picard_failing_row_before_convergence_raises(how, rows,
-                                                      monkeypatch):
-    """A sweep before convergence fails: the batch raises the serial loop's
-    error, with its message, step, residual and the failing row."""
-    if rows is not None:
-        monkeypatch.setattr(fixedpoint, "_SWEEP_ROWS", rows)
-    sc, kappa, tol = _picard_case("small")
+def _serial_sweeps(monkeypatch, sc, kappa, tol):
+    """The sweeps of the serial loop: the start and iterates 1-3."""
     sweeps = []
     sweep = helpers.sweep_serial
     monkeypatch.setattr(helpers, "sweep_serial",
                         lambda *a: sweeps.append(sweep(*a)) or sweeps[-1])
     helpers.picard_serial(*_picard_args(sc, kappa), tol=tol)
-    assert len(sweeps) == 4  # the start and iterates 1-3
+    assert len(sweeps) == 4
     monkeypatch.setattr(helpers, "sweep_serial", sweep)
-    _break_sweep_after(monkeypatch, sweeps[2].u_snapshots[3], how)
+    return sweeps
+
+
+def test_picard_unnamed_failure_drops_a_pending_row_error(monkeypatch):
+    """A full batch fails in row 4 (after the converged sweep) at step 3,
+    and its rerun in row 3 (the converged sweep) at step 5 by an error
+    that names no row: the serial loop's ValueError is raised, not the
+    dropped row's NewtonError."""
+    _batches(monkeypatch, full=True)
+    sc, kappa, tol = _picard_case("small")
+    sweeps = _serial_sweeps(monkeypatch, sc, kappa, tol)
+    _break_sweep_after(monkeypatch, (sweeps[3].u_snapshots[3], "newton"),
+                       (sweeps[2].u_snapshots[5], "other"))
+    got, want = _serial_error(sc, kappa, tol, ValueError)
+    assert str(got) == str(want) == "injected failure"
+
+
+@pytest.mark.parametrize("how", ["newton", "nonfinite", "other"])
+@pytest.mark.parametrize("rows", [None, 2])
+def test_picard_failing_row_before_convergence_raises(how, rows,
+                                                      monkeypatch):
+    """A sweep before convergence fails in a full batch: the batch raises
+    the serial loop's error, with its message, step, residual and the
+    failing row."""
+    _batches(monkeypatch, rows, full=True)
+    sc, kappa, tol = _picard_case("small")
+    sweeps = _serial_sweeps(monkeypatch, sc, kappa, tol)
+    _break_sweep_after(monkeypatch, (sweeps[2].u_snapshots[3], how))
+    if how == "other":
+        got, want = _serial_error(sc, kappa, tol, ValueError)
+        assert str(got) == str(want) == "injected failure"
+        return
     got, want = _serial_error(sc, kappa, tol)
     message = "injected failure" if how == "newton" else "non-finite state"
     assert message in str(want)
