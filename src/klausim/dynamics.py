@@ -697,17 +697,9 @@ def _h_rate_rows(u, v, cutoff) -> tuple[list[float], list[float]]:
 
 
 def _h_budget(sum_eta, sum_xi, dt: float, nu: float):
-    """h = (dt sum eta-rates)^nu + (dt sum xi-rates)^nu from running sums."""
+    """h = (dt sum eta-rates)^nu + (dt sum xi-rates)^nu from running sums,
+    on arrays: every h the package computes is raised here."""
     return (dt * sum_eta) ** nu + (dt * sum_xi) ** nu
-
-
-def _h_column(rate_eta, rate_xi, dt: float, nu: float) -> np.ndarray:
-    """h at every grid time by left-endpoint quadrature of the rates; h(0) =
-    0.  np.cumsum adds left to right, as a running scalar sum does."""
-    sums = np.cumsum(np.array([rate_eta, rate_xi], dtype=float), axis=1)
-    h = np.zeros(sums.shape[1] + 1)
-    h[1:] = _h_budget(sums[0], sums[1], dt, nu)
-    return h
 
 
 def _norm_rows(basis, u, v, model, solver) -> tuple:
@@ -733,7 +725,8 @@ def _record_run(basis, u0, v0, model, solver, step, increments, cutoff,
     h, if given, is a (P, n_steps + 1) array that receives the h columns as
     the run goes, so a step can read each row's h up to its own time; else
     P = 1.  Each row's h comes from running sums of its rates, added in step
-    order as _h_column's cumsum adds them, and raised to nu on arrays."""
+    order as FrozenPair.h_values' cumsum adds them, and raised to nu on
+    arrays by _h_budget."""
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if u0.shape != basis.grid_shape or v0.shape != u0.shape:

@@ -33,7 +33,6 @@ from .dynamics import (
     simulate_path,
     step_frozen,
     _h_budget,
-    _h_column,
     _h_rate_rows,
     _mult_drifts,
     _path_increments,
@@ -122,14 +121,12 @@ def cutoff_phi(x, kappa: float):
 
 @dataclass
 class FrozenPair:
-    """Time-indexed (eta, xi) fields on the solver grid, eta[n] at t = n dt."""
+    """Time-indexed (eta, xi) fields on the solver grid, eta[n] at t = n dt;
+    the h column a run records equals `h_values` of its pair bit for bit."""
 
     eta: np.ndarray  # (n_times, *grid)
     xi: np.ndarray
     dt: float
-    # (params, h column) of the run the pair was recorded from, or None:
-    # apply_V reads that column, h_values' own bits, rather than recompute it
-    recorded_h: Optional[tuple[CutoffParams, np.ndarray]] = None
 
     @property
     def n_times(self) -> int:
@@ -141,19 +138,17 @@ class FrozenPair:
         return cls(eta=np.zeros(shape), xi=np.zeros(shape), dt=dt)
 
     @classmethod
-    def from_trajectory(cls, traj: Trajectory,
-                        params: Optional[CutoffParams] = None) -> "FrozenPair":
-        """The pair of a run's snapshots; `params`, if given, are the cutoff
-        params the run recorded its h column with, and the pair keeps it."""
+    def from_trajectory(cls, traj: Trajectory) -> "FrozenPair":
+        """The pair of a run's snapshots, on the run's time grid."""
         dt = float(traj.times[1] - traj.times[0]) if traj.times.size > 1 else 0.0
-        recorded = None if params is None else (params, traj.norms["h"])
-        return cls(eta=traj.u_snapshots, xi=traj.v_snapshots, dt=dt,
-                   recorded_h=recorded)
+        return cls(eta=traj.u_snapshots, xi=traj.v_snapshots, dt=dt)
 
     def h_values(self, params: CutoffParams) -> np.ndarray:
-        """h at every grid time by left-endpoint quadrature; h(0) = 0."""
+        """h at every grid time by left-endpoint quadrature, h(0) = 0; cumsum
+        adds the rates left to right, as the recorder's running sums do."""
         rates = _h_rate_rows(self.eta[:-1], self.xi[:-1], params)
-        return _h_column(*rates, self.dt, params.nu)
+        sums = np.cumsum(rates, axis=1)
+        return np.append(0.0, _h_budget(sums[0], sums[1], self.dt, params.nu))
 
 
 def h_functional(pair: FrozenPair, t: float, params: CutoffParams) -> float:
@@ -166,22 +161,21 @@ def h_functional(pair: FrozenPair, t: float, params: CutoffParams) -> float:
 
 
 def _sweep(pair, rows, u0, v0, kappa, noise_path, model, solver, basis,
-           params) -> list[Trajectory]:
+           params, pair_h) -> list[Trajectory]:
     """`rows` sweeps of the operator as the rows of one batch, in lockstep
-    (see `picard_solve`): sweep 0 is frozen on `pair`, and sweep j at step
-    n on row j - 1 of the batch state and its h column as recorded so far."""
+    (see `picard_solve`): sweep 0 is frozen on `pair` and its h column
+    `pair_h`, and sweep j at step n on row j - 1 of the batch and its h."""
     n_steps = solver.n_steps
-    if pair.n_times != n_steps + 1:
+    if pair.n_times != n_steps + 1 or (
+            n_steps and abs(pair.dt - solver.dt) > 1e-15 * solver.dt):
         raise ValueError(
-            f"frozen pair has {pair.n_times} time slices for {n_steps} steps"
+            f"frozen pair of {pair.n_times} time slices at dt {pair.dt!r} is "
+            f"not on the grid of {n_steps} steps at solver dt {solver.dt!r}"
         )
     increments = _path_increments(noise_path, solver)
     drift1, drift2 = _mult_drifts(basis, model, noise_path.spec, None)
     h = np.empty((rows + 1, n_steps + 1))  # row 0 the pair's, j + 1 sweep j's
-    if pair.recorded_h is not None and pair.recorded_h[0] == params:
-        h[0] = pair.recorded_h[1]
-    else:
-        h[0] = pair.h_values(params)
+    h[0] = pair_h
 
     def step(state, n, dw1, dw2):
         eta = np.concatenate((pair.eta[n][None], state.u[:rows - 1]))
@@ -215,7 +209,7 @@ def apply_V(
     of the lockstep sweeps `picard_solve` runs.
     """
     return _sweep(pair, 1, u0, v0, kappa, noise_path, model, solver, basis,
-                  params)[0]
+                  params, pair.h_values(params))[0]
 
 
 def pair_distance(a: FrozenPair, b: FrozenPair, params: CutoffParams) -> float:
@@ -269,9 +263,10 @@ def picard_solve(
     row k frozen on row k - 1 and row 0 on the carried pair (the zero pair,
     `initial_pair`, or the last row of the previous batch).  Every row
     keeps the bits of its sweep run alone, so the iterates, residuals and
-    result are those of running the sweeps one after another.  A batch
-    shares the per-step overhead among its rows, but each row still does
-    its own solves, so the rows after the first converged one are work
+    result are those of running the sweeps one after another.  h_values
+    runs once, for the first pair; a carried row hands on its recorded h.
+    A batch shares the per-step overhead among its rows, but each row still
+    does its own solves, so the rows after the first converged one are work
     thrown away: `_batch_rows` sizes each batch from the residuals so far.
 
     A failing row that names itself (a NewtonError, or a non-finite state)
@@ -288,6 +283,7 @@ def picard_solve(
         pair = FrozenPair.zero(basis, solver.dt, solver.n_steps)
     else:
         pair = initial_pair
+    pair_h = pair.h_values(params)
     residuals: list[float] = []
     while True:
         rows = min(_batch_rows(residuals, tol, start),
@@ -296,7 +292,7 @@ def picard_solve(
         while True:
             try:
                 trajs = _sweep(pair, rows, u0, v0, kappa, noise_path, model,
-                               solver, basis, params)
+                               solver, basis, params, pair_h)
                 break
             except Exception as exc:
                 row = exc.row if isinstance(exc, NewtonError) else None
@@ -307,7 +303,7 @@ def picard_solve(
                 else:
                     raise
         for traj in trajs:
-            new_pair = FrozenPair.from_trajectory(traj, params)
+            new_pair = FrozenPair.from_trajectory(traj)
             if start:
                 start = False
             else:
@@ -319,7 +315,7 @@ def picard_solve(
                         iterations=len(residuals),
                         converged=True,
                     )
-            pair = new_pair
+            pair, pair_h = new_pair, traj.norms["h"]
         if failed is not None:
             raise failed
         if len(residuals) == max_iter:
@@ -346,17 +342,19 @@ def _batch_rows(residuals: list[float], tol: float, start: bool) -> int:
     return max(1, min(_SWEEP_ROWS, math.ceil(left)))
 
 
-def first_exit_time(
-    traj: Trajectory, kappa: float, params: CutoffParams
-) -> Optional[float]:
+def _first_crossing(h: np.ndarray, kappa: float) -> Optional[int]:
+    """First index with h >= kappa, the exit sampler's rule, or None."""
+    above = np.flatnonzero(h >= kappa)
+    return int(above[0]) if above.size else None
+
+
+def first_exit_time(traj: Trajectory, kappa: float) -> Optional[float]:
     """First grid time with h >= kappa, or None if h stays below on [0, T]."""
     h = traj.norms.get("h")
     if h is None or np.any(np.isnan(h)):
         raise ValueError("trajectory carries no h records")
-    above = np.nonzero(h >= kappa)[0]
-    if above.size == 0:
-        return None
-    return float(traj.times[above[0]])
+    n = _first_crossing(h, kappa)
+    return None if n is None else float(traj.times[n])
 
 
 @dataclass
@@ -475,14 +473,12 @@ def glue_simulate(
             params.with_kappa(kappa), tol=tol, max_iter=max_iter,
         )
         traj = result.trajectory
-        exit_local = first_exit_time(traj, kappa, params.with_kappa(kappa))
-        if exit_local is None:
-            exit_idx = n_rem
-        else:  # a rung always consumes at least a step
-            exit_idx = max(int(round(exit_local / solver.dt)), 1)
+        # h(0) = 0 < kappa, so a crossing is a step after the rung's start
+        crossing = _first_crossing(traj.norms["h"], kappa)
+        exit_idx = n_rem if crossing is None else crossing
         rungs.append(RungReport(
             rung_index + 1, kappa,
-            None if exit_local is None else (steps_done + exit_idx) * solver.dt,
+            None if crossing is None else (steps_done + exit_idx) * solver.dt,
             result.iterations, result.residuals[-1],
         ))
         parts.append((traj, exit_idx + 1))
@@ -518,9 +514,9 @@ def _exit_steps(scenario, levels: Sequence[float], n_paths: int):
     draws its noise from the (seed, channel, i, r) substreams at its own
     local step.  A path stops at its first rung that does not exit before
     the horizon, when it exits at the horizon step, or after its last rung.
-    The paths observe one `_run_paths` batch, and each crosses at the steps
-    it would stepped alone and ends within the batch contract of
-    `dynamics._newton` of its lone end state.
+    The paths observe one `_run_paths` batch; each ends within the batch
+    contract of `dynamics._newton` of its lone end state and crosses where
+    its lone run's recorded h column reaches the level (`_first_crossing`).
 
     Returns (crossings, end): crossings[i, r] is the global step at which
     path i's h reached levels[r] (-1 if it did not), and end is the batch
@@ -532,8 +528,7 @@ def _exit_steps(scenario, levels: Sequence[float], n_paths: int):
     sums = np.zeros((2, n_paths))  # running sums of the two h integrands
 
     def observe(n, u, v, live, rung):  # h(0) = 0 is below every level
-        h = np.array([_h_budget(a, b, solver.dt, cutoff.nu) for a, b in
-                      zip(sums[0, live].tolist(), sums[1, live].tolist())])
+        h = _h_budget(sums[0, live], sums[1, live], solver.dt, cutoff.nu)
         crossed = live[h >= thresholds[rung[live]]]
         crossings[crossed, rung[crossed]] = n
         # a crossing before the horizon climbs to the next rung, if any

@@ -100,14 +100,11 @@ def final_state(traj: Trajectory) -> CoupledState:
 def sweep_serial(pair, u0, v0, kappa, noise_path, model, solver, basis,
                  params) -> Trajectory:
     """One sweep of the frozen operator stepped alone, a batch of one, with
-    phi taken from the pair's whole h column before the sweep starts."""
+    phi taken from the pair's whole h column, computed by h_values before
+    the sweep starts."""
     increments = _path_increments(noise_path, solver)
     drift1, drift2 = _mult_drifts(basis, model, noise_path.spec, None)
-    if pair.recorded_h is not None and pair.recorded_h[0] == params:
-        h = pair.recorded_h[1]
-    else:
-        h = pair.h_values(params)
-    phi = cutoff_phi(h, kappa)
+    phi = cutoff_phi(pair.h_values(params), kappa)
 
     def step(state, n, dw1, dw2):
         return step_frozen(basis, state, pair.eta[n], pair.xi[n], phi[n],
@@ -124,13 +121,13 @@ def picard_serial(u0, v0, kappa, noise_path, model, solver, basis, params,
     args = (u0, v0, kappa, noise_path, model, solver, basis, params)
     if initial_pair is None:
         zero = FrozenPair.zero(basis, solver.dt, solver.n_steps)
-        pair = FrozenPair.from_trajectory(sweep_serial(zero, *args), params)
+        pair = FrozenPair.from_trajectory(sweep_serial(zero, *args))
     else:
         pair = initial_pair
     residuals = []
     for iteration in range(1, max_iter + 1):
         traj = sweep_serial(pair, *args)
-        new_pair = FrozenPair.from_trajectory(traj, params)
+        new_pair = FrozenPair.from_trajectory(traj)
         residuals.append(pair_distance(new_pair, pair, params))
         pair = new_pair
         if residuals[-1] <= tol:

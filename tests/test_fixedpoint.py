@@ -10,6 +10,7 @@ import pytest
 import helpers
 from klausim import dynamics, fixedpoint
 from klausim.basis import build_basis
+from klausim.cli import apply_overrides, build_scenario, default_config
 from klausim.dynamics import (
     ModelConfig,
     NewtonError,
@@ -217,42 +218,6 @@ def test_apply_v_deterministic(small):
     assert np.array_equal(a.u_snapshots, b.u_snapshots)
 
 
-def test_apply_v_reads_the_recorded_h_of_its_pair(small, monkeypatch):
-    """A pair taken from a sweep with its params carries the sweep's h
-    column: the next sweep reads it instead of calling h_values, with the
-    same bits.  Other params, or no recorded column, recompute h."""
-    sc = small
-    path = generate_path(sc.noise, sc.basis, sc.solver.dt, sc.solver.n_steps)
-    zero = FrozenPair.zero(sc.basis, sc.solver.dt, sc.solver.n_steps)
-    first = apply_V(zero, sc.u0, sc.v0, 1.0, path, sc.model, sc.solver,
-                    sc.basis, sc.cutoff)
-    recorded = FrozenPair.from_trajectory(first, sc.cutoff)
-    bare = FrozenPair.from_trajectory(first)
-    assert bare.recorded_h is None
-    calls = []
-    h_values = FrozenPair.h_values
-
-    def spy(pair, params):
-        calls.append(params)
-        return h_values(pair, params)
-
-    monkeypatch.setattr(FrozenPair, "h_values", spy)
-
-    def sweep(pair, params):
-        return apply_V(pair, sc.u0, sc.v0, 1.0, path, sc.model, sc.solver,
-                       sc.basis, params)
-
-    a = sweep(recorded, sc.cutoff)
-    assert calls == []
-    b = sweep(bare, sc.cutoff)
-    assert calls == [sc.cutoff]
-    assert np.array_equal(a.u_snapshots, b.u_snapshots)
-    assert np.array_equal(a.v_snapshots, b.v_snapshots)
-    other = sc.cutoff.with_kappa(2.0)
-    sweep(recorded, other)
-    assert calls == [sc.cutoff, other]
-
-
 def test_apply_v_tiny_kappa_switches_reaction_off(small):
     """Once h exceeds 2 kappa the tail must follow the reaction-free flow."""
     sc = small
@@ -438,7 +403,7 @@ def test_monotone_truncation(small):
                       sc.cutoff.with_kappa(1.0), tol=tol)
     hi = picard_solve(sc.u0, sc.v0, 2.0, path, sc.model, sc.solver, sc.basis,
                       sc.cutoff.with_kappa(2.0), tol=tol)
-    exit_lo = first_exit_time(lo.trajectory, 1.0, sc.cutoff)
+    exit_lo = first_exit_time(lo.trajectory, 1.0)
     n_keep = (
         lo.trajectory.n_records
         if exit_lo is None
@@ -582,21 +547,80 @@ def test_picard_batches_count_projected_points_per_row(rows, monkeypatch):
     _assert_same_solve(got, want)
 
 
-@pytest.mark.parametrize("recorded", [True, False])
+@pytest.mark.parametrize("from_run", [True, False])
 @pytest.mark.parametrize("rows", [None, 2])
-def test_picard_batches_from_an_initial_pair(recorded, rows, monkeypatch):
-    """Row 0 of the first batch is frozen on the initial pair, with its
-    recorded h column or its own h_values."""
+def test_picard_batches_from_an_initial_pair(from_run, rows, monkeypatch):
+    """Row 0 of the first batch is frozen on the initial pair and its
+    h_values: the pair of a direct run, or the data frozen in time (the
+    uniqueness experiment's start)."""
     if rows is not None:
         monkeypatch.setattr(fixedpoint, "_SWEEP_ROWS", rows)
     sc, kappa, tol = _picard_case("exit")
-    path = generate_path(sc.noise, sc.basis, sc.solver.dt, sc.solver.n_steps)
-    params = sc.cutoff.with_kappa(kappa)
-    direct = simulate_path(sc.basis, sc.u0, sc.v0, sc.model, sc.solver, path,
-                           cutoff=params)
-    pair = FrozenPair.from_trajectory(direct, params if recorded else None)
+    if from_run:
+        path = generate_path(sc.noise, sc.basis, sc.solver.dt,
+                             sc.solver.n_steps)
+        pair = FrozenPair.from_trajectory(simulate_path(
+            sc.basis, sc.u0, sc.v0, sc.model, sc.solver, path,
+            cutoff=sc.cutoff.with_kappa(kappa)))
+    else:
+        shape = (sc.solver.n_steps + 1,) + sc.basis.grid_shape
+        pair = FrozenPair(eta=np.broadcast_to(sc.u0, shape),
+                          xi=np.broadcast_to(sc.v0, shape), dt=sc.solver.dt)
     got, want = _both_solves(sc, kappa, tol, initial_pair=pair)
     _assert_same_solve(got, want)
+
+
+@pytest.mark.parametrize("rows", [None, 2])
+def test_picard_computes_h_once_per_solve(rows, monkeypatch):
+    """picard_solve calls h_values for its first pair only, also across
+    several batches: each later batch is frozen on the h column the
+    recorder wrote for the carried row, with the bits of the serial loop,
+    which calls h_values for every sweep."""
+    _batches(monkeypatch, rows)
+    sc, kappa, tol = _picard_case("exit")
+    args = _picard_args(sc, kappa)
+    want = helpers.picard_serial(*args, tol=tol)
+    batches = _count_sweeps(monkeypatch)
+    calls = []
+    h_values = FrozenPair.h_values
+
+    def spy(pair, params):
+        calls.append(params)
+        return h_values(pair, params)
+
+    monkeypatch.setattr(FrozenPair, "h_values", spy)
+    got = picard_solve(*args, tol=tol)
+    assert calls == [args[-1]]
+    assert len(batches) > (1 if rows else 0)
+    _assert_same_solve(got, want)
+
+
+def test_sweep_refuses_a_pair_on_another_time_grid():
+    """A pair whose dt is not the solver's would be read on the wrong clock
+    (its h by the wrong quadrature weight); a one-slice pair, to which
+    from_trajectory gives dt 0, has no clock and is accepted."""
+    sc = small_data_scenario()
+    params = sc.cutoff.with_kappa(0.02)
+    path = generate_path(sc.noise, sc.basis, sc.solver.dt, sc.solver.n_steps)
+    args = (sc.u0, sc.v0, params.kappa, path, sc.model, sc.solver, sc.basis,
+            params)
+    recorded = FrozenPair.from_trajectory(simulate_path(
+        sc.basis, sc.u0, sc.v0, sc.model, sc.solver, path, cutoff=params))
+    apply_V(recorded, *args)
+    other = dataclasses.replace(recorded, dt=0.5)
+    both = (f"at dt 0.5 is not on the grid of {sc.solver.n_steps} steps at "
+            f"solver dt {sc.solver.dt!r}")
+    with pytest.raises(ValueError, match=both):
+        apply_V(other, *args)
+    with pytest.raises(ValueError, match=both):
+        picard_solve(*args, initial_pair=other)
+
+    still = dataclasses.replace(sc.solver, t_final=0.0)
+    one = FrozenPair.from_trajectory(simulate_path(
+        sc.basis, sc.u0, sc.v0, sc.model, still, path, cutoff=params))
+    assert (one.n_times, one.dt) == (1, 0.0)
+    traj = apply_V(one, *args[:5], still, *args[6:])
+    assert traj.n_records == 1
 
 
 @pytest.mark.parametrize("rows, max_iter", [(None, 3), (2, 4)])
@@ -750,16 +774,16 @@ def test_first_exit_time_cases():
     zeros = np.zeros(basis.grid_shape)
     zero_traj = simulate_path(basis, zeros, zeros, model, solver, None,
                               cutoff=sc_params)
-    assert first_exit_time(zero_traj, 1.0, sc_params) is None
+    assert first_exit_time(zero_traj, 1.0) is None
 
     ones = np.ones(basis.grid_shape)
     const_traj = simulate_path(basis, ones, zeros, model, solver, None,
                                cutoff=sc_params)
     # h(t) = t for eta=1, nu=1: crossing kappa=0.5 at t=0.5
-    t_star = first_exit_time(const_traj, 0.5, sc_params)
+    t_star = first_exit_time(const_traj, 0.5)
     assert abs(t_star - 0.5) <= solver.dt + 1e-12
     # kappa -> 0+: first positive grid time
-    assert first_exit_time(const_traj, 1e-12, sc_params) == pytest.approx(
+    assert first_exit_time(const_traj, 1e-12) == pytest.approx(
         solver.dt
     )
 
@@ -773,7 +797,30 @@ def test_first_exit_requires_h_records():
         model, solver, None,
     )
     with pytest.raises(ValueError):
-        first_exit_time(traj, 1.0, default_cutoff())
+        first_exit_time(traj, 1.0)
+
+
+@pytest.fixture(scope="module")
+def exit_h():
+    """The exit scenario and the h column simulate_path records for its
+    path 0, rung 0."""
+    sc = exit_scenario(seed=0, n=32, t_final=0.2)
+    path = generate_path(sc.noise, sc.basis, sc.solver.dt, sc.solver.n_steps)
+    return sc, simulate_path(sc.basis, sc.u0, sc.v0, sc.model, sc.solver,
+                             path, cutoff=sc.cutoff).norms["h"]
+
+
+@pytest.mark.parametrize("j", [13, 15, 33])
+def test_sampler_crosses_where_the_recorded_h_reaches_the_level(exit_h, j):
+    """A level one ulp above the recorded h(t_j) is first reached by the
+    recorded column at j + 1, and the exit sampler crosses there too: it
+    raises its running sums to nu as the recorder does.  Raised on scalars
+    they crossed at j for these j."""
+    sc, h = exit_h
+    level = np.nextafter(h[j], np.inf)
+    assert h[j + 1] >= level
+    crossings, _ = _exit_steps(sc, [level], 1)
+    assert crossings[0, 0] == j + 1
 
 
 # ----------------------------------------------------------------- gluing
@@ -834,9 +881,7 @@ def test_glue_junction_handoff_exact():
         dataclasses.replace(sc.solver, snapshot_stride=1),
         sc.basis, sc.cutoff.with_kappa(ladder[0]), tol=1e-7,
     )
-    exit_t = first_exit_time(
-        rung0.trajectory, ladder[0], sc.cutoff.with_kappa(ladder[0])
-    )
+    exit_t = first_exit_time(rung0.trajectory, ladder[0])
     exit_idx = int(round(exit_t / sc.solver.dt))
     assert np.array_equal(
         result.trajectory.u_snapshots[: exit_idx + 1],
@@ -846,6 +891,46 @@ def test_glue_junction_handoff_exact():
         result.trajectory.u_snapshots[exit_idx],
         rung0.trajectory.u_snapshots[exit_idx],
     )
+
+
+_EXIT_PHYSICS = [
+    "solver.dt=0.002", "solver.snapshot_stride=1", "model.r_v=0.1",
+    "model.chi=0.5", "model.sigma1=0.25", "model.sigma2=0.25", "noise.c1=0.6",
+    "noise.c2=0.6", "initial.u_base=0.9", "initial.u_amp=0.5",
+    "initial.v_base=0.8", "initial.v_amp=0.4", "initial.v_center=0.35",
+]
+
+
+@pytest.mark.parametrize("overrides, want", [
+    # the glue_ladder benchmark run
+    (["grid.n=64", "solver.t_final=0.25", "run.kappa_ladder=0.4,0.7,1.0",
+      "model.sigma1=0.05", "model.sigma2=0.05", "noise.c1=0.1",
+      "noise.c2=0.1", "run.seed=808"], [5, 39, 117]),
+    # the golden `glue` run
+    (["grid.n=32", "solver.t_final=0.05", "solver.snapshot_stride=3",
+      "run.seed=17", "run.kappa_ladder=0.2,0.4"], [1, 6]),
+    # a ladder whose second rung holds to the horizon
+    (["grid.n=64", "solver.t_final=0.25", "run.seed=3",
+      "run.kappa_ladder=0.5,1,2,4"], [11, -1, -1, -1]),
+])
+def test_glue_rung_exits_are_the_sampler_crossings(overrides, want):
+    """Glue's rung exit steps are path 0's crossings in the exit sampler,
+    exactly: before its exit a rung's fixed point is the plain coupled
+    dynamics on the same (path, rung) noise, and both read the exit off
+    the one h by the same >= rule."""
+    cfg = default_config()
+    apply_overrides(cfg, _EXIT_PHYSICS + overrides)
+    sc = build_scenario(cfg)
+    ladder = [float(x) for x in cfg.get("run", "kappa_ladder").split(",")]
+    result = glue_simulate(sc.u0, sc.v0, ladder, sc.model, sc.solver,
+                           sc.basis, sc.noise, sc.cutoff,
+                           tol=cfg.get("run", "picard_tol"),
+                           max_iter=cfg.get("run", "picard_max_iter"))
+    exits = [-1 if r.exit_time is None else round(r.exit_time / sc.solver.dt)
+             for r in result.rungs]
+    exits += [-1] * (len(ladder) - len(exits))
+    crossings, _ = _exit_steps(sc, ladder, 1)
+    assert exits == crossings[0].tolist() == want
 
 
 def test_glue_zero_horizon():
