@@ -1,12 +1,24 @@
-"""Functions only the tests call: a quadrature, a band residual, a fitted
-Weyl constant, a trace normalisation, a deterministic pattern scenario, the
-end state of a recorded run, and the serial Picard loop."""
+"""Functions only the tests call: the serial basis construction, a
+quadrature, a band residual, a fitted Weyl constant, a trace normalisation,
+a deterministic pattern scenario, the end state of a recorded run, and the
+serial Picard loop."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 
-from klausim.basis import SpectralBasis, analyze, build_basis, synthesize, weyl_count
+from klausim.basis import (
+    SpectralBasis,
+    _axis_eigenvalue,
+    _axis_grid,
+    _axis_indices,
+    _axis_mode,
+    analyze,
+    build_basis,
+    synthesize,
+    weyl_count,
+)
 from klausim.dynamics import (
     CoupledState,
     ModelConfig,
@@ -32,6 +44,39 @@ from klausim.scenarios import (
     default_hypothesis,
     perturbed_homogeneous_fields,
 )
+
+
+def basis_serial(d: int, boundary: str, n: int, n_modes: int) -> SpectralBasis:
+    """The first `n_modes` eigenpairs built one multi-index at a time: every
+    tuple (eigenvalue, multi-index) of the r^d is sorted, each eigenvalue a
+    Python sum of scalar axis eigenvalues.  The oracle for `build_basis`."""
+    axis = _axis_indices(n, boundary)
+    spectrum = sorted(
+        (sum(_axis_eigenvalue(i, boundary) for i in idx), idx)
+        for idx in itertools.product(axis, repeat=d)
+    )
+    eigenvalues = np.array([lam for lam, _ in spectrum[:n_modes]])
+    multi = [idx for _, idx in spectrum[:n_modes]]
+
+    used = {i for idx in multi for i in idx}
+    row_of = {i: row for row, i in enumerate(i for i in axis if i in used)}
+    x = _axis_grid(n, boundary)
+    axis_table = np.array([_axis_mode(i, x, boundary) for i in row_of])
+    rows = np.array([[row_of[i] for i in idx] for idx in multi]).T
+    band_positions = np.ravel_multi_index(tuple(rows), (len(row_of),) * d)
+    axis_table.flags.writeable = False
+    band_positions.flags.writeable = False
+
+    return SpectralBasis(
+        dimension=d,
+        boundary=boundary,
+        grid_points=n,
+        n_modes=n_modes,
+        eigenvalues=eigenvalues,
+        mode_indices=tuple(multi),
+        axis_table=axis_table,
+        band_positions=band_positions,
+    )
 
 
 def inner_product(f: np.ndarray, g: np.ndarray) -> float:

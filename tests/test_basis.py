@@ -15,7 +15,7 @@ from klausim.basis import (
     weyl_count,
 )
 
-from helpers import weyl_bound_constant
+from helpers import basis_serial, weyl_bound_constant
 
 PI2 = np.pi**2
 
@@ -162,6 +162,12 @@ def test_weyl_count_examples():
     assert weyl_count(basis, 1e12) == basis.n_modes
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0, -1e-300])
+def test_weyl_count_refuses_bad_lambda(per1d, lam):
+    with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+        weyl_count(per1d, lam)
+
+
 def test_weyl_ratio_bounded(per1d):
     c = weyl_bound_constant(per1d)
     assert np.isfinite(c) and c > 0
@@ -184,7 +190,61 @@ def test_mode_ordering_deterministic():
     a = build_basis(2, "periodic", 16, 30)
     b = build_basis(2, "periodic", 16, 30)
     assert a.mode_indices == b.mode_indices
-    assert np.all(np.diff(a.eigenvalues) >= -1e-12)
+    assert np.all(np.diff(a.eigenvalues) >= 0)
+
+
+def assert_same_basis(got, want):
+    """Every field bit for bit, dtypes and write flags included, and the
+    multi-indices tuples of Python ints."""
+    for name in ("eigenvalues", "axis_table", "band_positions"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.flags.writeable) \
+            == (b.dtype, b.shape, b.flags.writeable), name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.mode_indices == want.mode_indices
+    assert {type(i) for idx in got.mode_indices for i in idx} == {int}
+    assert all(type(idx) is tuple for idx in got.mode_indices)
+
+
+@pytest.mark.parametrize("d, boundary, n, n_modes", [
+    # full bands and a lone mode, every d on both boundaries
+    (1, "periodic", 64, 63), (1, "neumann", 64, 64),
+    (1, "periodic", 16, 1), (1, "neumann", 16, 1),
+    (2, "periodic", 16, 225), (2, "neumann", 16, 256),
+    (2, "periodic", 16, 1), (2, "neumann", 16, 1),
+    (3, "periodic", 8, 343), (3, "neumann", 8, 512),
+    (3, "periodic", 8, 1), (3, "neumann", 8, 1),
+    # cuts inside a degenerate shell: the 4 periodic modes at 4 pi^2 in
+    # d=2, 3 of the 6 at 4 pi^2 and 2 of the 3 Neumann modes at pi^2 in d=3
+    (2, "periodic", 16, 2), (2, "periodic", 16, 3),
+    (2, "periodic", 16, 4), (2, "periodic", 16, 5),
+    (3, "periodic", 8, 4), (3, "neumann", 8, 3),
+    # field_2d's basis and a large d=3 band
+    (2, "neumann", 64, 1024), (3, "neumann", 64, 5000),
+])
+def test_build_basis_matches_serial_construction(d, boundary, n, n_modes):
+    assert_same_basis(build_basis(d, boundary, n, n_modes),
+                      basis_serial(d, boundary, n, n_modes))
+
+
+def test_every_cut_of_a_3d_band_matches_serial_construction():
+    """At d=3 the permutations of a multi-index can sum to different floats
+    ((1, 1, 2) and (2, 1, 1) do), so only a left-to-right sum keeps the
+    serial order; every truncation of the band is checked."""
+    for n_modes in range(1, 8**3 + 1):
+        assert_same_basis(build_basis(3, "neumann", 8, n_modes),
+                          basis_serial(3, "neumann", 8, n_modes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_build_basis_matches_serial_construction_hypothesis(data):
+    d = data.draw(st.sampled_from([1, 2, 3]))
+    boundary = data.draw(st.sampled_from(["periodic", "neumann"]))
+    n = data.draw(st.sampled_from({1: [8, 16, 32], 2: [8, 16], 3: [8]}[d]))
+    n_modes = data.draw(st.integers(1, resolvable_modes(d, boundary, n)))
+    assert_same_basis(build_basis(d, boundary, n, n_modes),
+                      basis_serial(d, boundary, n, n_modes))
 
 
 def test_three_dimensional_tensor_basis():

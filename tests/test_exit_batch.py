@@ -2,8 +2,9 @@
 
 `serial_exits` steps one path at a time through the public `step_coupled`
 and `sample_increments` with the exit rule the sampler had before its paths
-were batched: h restarts at each rung, a rung that does not exit before the
-horizon ends the path, and an exit at the horizon step ends it uncounted.
+were batched, raising h through `_h_budget` as every h is raised: h
+restarts at each rung, a rung that does not exit before the horizon ends
+the path, and an exit at the horizon step ends it uncounted.
 The batch must reproduce every path's crossing steps and the rung it
 stopped on exactly, and its end state to 1e-9 relative to the largest entry
 of each field: a batch of at least `_PCG_ROWS` rows solves its Newton
@@ -20,11 +21,13 @@ from klausim.dynamics import (
     _DENSE_LIMIT,
     CoupledState,
     NewtonError,
+    simulate_path,
     step_coupled,
+    _h_budget,
 )
 from klausim.fields import lp_norm
 from klausim.fixedpoint import _exit_ladder, _exit_steps, exit_prob_estimate
-from klausim.noise import sample_increments
+from klausim.noise import generate_path, sample_increments
 from klausim.scenarios import bump_field, exit_scenario
 
 
@@ -60,8 +63,9 @@ def serial_exits(sc, levels, paths):
                     clipped += int((state.u < 0.0).sum() + (state.v < 0.0).sum())
                     state.u[state.u < 0.0] = 0.0
                     state.v[state.v < 0.0] = 0.0
-                h = ((solver.dt * sum_eta) ** cutoff.nu
-                     + (solver.dt * sum_xi) ** cutoff.nu)
+                # raised on one-element arrays, as the sampler raises them
+                h = _h_budget(np.array([sum_eta]), np.array([sum_xi]),
+                              solver.dt, cutoff.nu)[0]
                 if h >= level:
                     exit_step = n + 1
                     break
@@ -118,6 +122,20 @@ def test_one_rung_matches_serial_and_skips_horizon_exits():
     res = exit_prob_estimate(sc, 0.75, 100)
     assert res.exit_counts == counted(crossings, n_total)
     assert res.exit_counts == (crossings[:, 0] > 0).sum() - at_horizon.sum()
+
+
+@pytest.mark.parametrize("j", [13, 15, 33])
+def test_level_an_ulp_above_a_recorded_h_matches_serial(j):
+    """A level one ulp above the recorded h(t_j) of path 0 is first reached
+    at j + 1 by the recorded column, by the sampler and by the serial
+    oracle, which raises its sums to nu on arrays as the sampler does."""
+    sc = exit_scenario(seed=0, n=32, t_final=0.2)
+    path = generate_path(sc.noise, sc.basis, sc.solver.dt, sc.solver.n_steps)
+    h = simulate_path(sc.basis, sc.u0, sc.v0, sc.model, sc.solver, path,
+                      cutoff=sc.cutoff).norms["h"]
+    level = np.nextafter(h[j], np.inf)
+    crossings, _ = assert_batch_matches_serial(sc, [level], 1)
+    assert crossings[0, 0] == j + 1
 
 
 def test_multi_rung_ladder_matches_serial():
