@@ -151,6 +151,17 @@ class SpectralBasis:
             self._cache["laplacian_matrix"] = lap
         return lap
 
+    def laplacian_diagonal(self) -> np.ndarray:
+        """Diagonal of `laplacian_matrix`, -sum_k nu_k psi_k(x_i)^2 h^d over
+        the flattened grid, from one expansion on the squared axis table, so
+        no dense matrix is built.  Cached."""
+        diag = self._cache.get("laplacian_diagonal")
+        if diag is None:
+            squares = expand(self, self.eigenvalues, self.axis_table**2)
+            diag = -squares.reshape(-1) * self.cell_volume
+            self._cache["laplacian_diagonal"] = diag
+        return diag
+
     def mode_matrix(self) -> np.ndarray:
         """Dense (n_modes x N^d) grid samples of the retained modes; row k is
         psi_k.  Cached; built from the (r^d x N^d) per-axis products, for

@@ -33,7 +33,6 @@ depend on the batch it is stepped in.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,10 +45,11 @@ from .noise import NoisePath, stratonovich_correction, _increment_rows, _path_ke
 ITO = "ito"
 STRATONOVICH = "stratonovich"
 
-# grids up to this many cells solve the Newton updates directly: the
-# measured crossover, past which preconditioned GMRES solves faster
+# grids up to this many cells solve the Newton updates with the dense
+# Laplacian, by LU or by a PCG of GEMM products; larger grids solve every
+# row count by a PCG of separable transforms, the faster side there
 _DENSE_LIMIT = 256
-# on those grids, this many rows iterating at once solve by one batched PCG
+# on dense grids, this many rows iterating at once solve by one batched PCG
 # rather than by LU row by row: the measured crossover at d=1 N=32 and 64
 _PCG_ROWS = 16
 # each PCG row stops at this residual relative to its right-hand side
@@ -57,17 +57,15 @@ _PCG_RTOL = 1e-10
 
 
 def __getattr__(name):
-    """Bind scipy's gmres and LinearOperator here on first use: only the
-    Krylov branch of _newton needs them, and loading scipy costs a d=1 run a
-    third of its memory.  A binding already present (a wrapped or patched
-    gmres) is kept."""
-    if name not in ("gmres", "LinearOperator"):
+    """scipy's gmres, bound here on first use under this one name.  No solve
+    calls it, and no run loads scipy; `bench/tracer.py` wraps
+    `dynamics.gmres` by name, so the name must still resolve.  A binding
+    already present (a wrapped gmres) is kept."""
+    if name != "gmres":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.sparse import linalg
+    from scipy.sparse.linalg import gmres
 
-    for attr in ("gmres", "LinearOperator"):
-        globals().setdefault(attr, getattr(linalg, attr))
-    return globals()[name]
+    return globals().setdefault("gmres", gmres)
 
 
 class NewtonError(RuntimeError):
@@ -240,36 +238,39 @@ def _rowdot(a, b):
     return np.einsum("ij,ij->i", a, b)
 
 
-def _pcg(lap, modes, cell_volume, eigenvalues, coef, deriv, res):
+def _pcg(lap_rows, band, lap_diag, eigenvalues, volume, coef, deriv, res):
     """Newton updates of a batch of rows by one masked preconditioned CG.
 
-    J d = -res with J = I - coef lap D, D = diag(deriv) > 0, becomes
-    A x = -S res with A = I - coef S lap S, S = D^(1/2) and x = S d: A is
-    symmetric positive definite, since lap is symmetric negative
-    semidefinite.
+    J d = -res with J = I - coef L D, D = diag(deriv) > 0, becomes
+    A x = -S res with A = I - coef S L S, S = D^(1/2) and x = S d: A is
+    symmetric positive definite, since L is symmetric negative semidefinite.
 
     The preconditioner is T P T.  P is the spectral inverse of A with D
     frozen at the row's mean m, the identity off the band.  T is diagonal,
-    T^2 = (1 + coef m k) / (1 + coef D k) with k = -diag(lap): it carries
+    T^2 = (1 + coef m k) / (1 + coef D k) with k = -diag(L): it carries
     the diagonal of the frozen operator to that of A, so rows whose D
     varies by decades still converge in tens of iterations.  The iteration
     runs on T A T y = T b, x = T y, preconditioned by P, which takes the
-    same steps with fewer products; each product with lap or the modes is
-    one GEMM over the rows still iterating.
+    same steps with fewer products.
+
+    The products come in, so one loop serves every grid, each product taken
+    over the rows still iterating at once: lap_rows(z) is L times each row
+    of z, band(r, w) the band part of P - r - analyzed, scaled by w
+    (rows, n_modes) and synthesized - and lap_diag is diag(L).  The weights
+    carry `volume`, the rectangle-rule weight band's analysis leaves out.
 
     Each row stops once its residual is within _PCG_RTOL of its right-hand
-    side and leaves the iteration; d = -res + coef lap (S x) then needs no
+    side and leaves the iteration; d = -res + coef L (S x) then needs no
     division by S.  A zero-curvature breakdown, or a row still iterating
     after 2 n iterations, raises _Unsolved naming the row.
     """
     k, n = deriv.shape
     mean = deriv.mean(axis=1)[:, None]
-    weight = cell_volume * (1.0 / (1.0 + coef * mean * eigenvalues) - 1.0)
-    diag = -coef * np.diagonal(lap)
+    weight = volume * (1.0 / (1.0 + coef * mean * eigenvalues) - 1.0)
+    diag = -coef * lap_diag
     t2 = (1.0 + mean * diag) / (1.0 + deriv * diag)
     u = st = np.sqrt(deriv * t2)  # S T
     cu = coef * u
-    analysis = np.ascontiguousarray(modes.T)  # r @ analysis: the band
     r = -u * res  # T b
     y = np.zeros_like(deriv)
     out = np.empty_like(deriv)
@@ -291,15 +292,13 @@ def _pcg(lap, modes, cell_volume, eigenvalues, coef, deriv, res):
         if it == 2 * n:
             raise _Unsolved(int(left[0]), f"PCG did not converge in {it} "
                             "iterations")
-        z = r @ analysis
-        z *= weight
-        z = z @ modes
+        z = band(r, weight)
         z += r
         rz_new = _rowdot(r, z)
         if p is not None:
             z += (rz_new / rz)[:, None] * p
         p, rz = z, rz_new
-        q = t2 * p - cu * ((u * p) @ lap)  # lap is symmetric
+        q = t2 * p - cu * lap_rows(u * p)
         pq = _rowdot(p, q)
         if not (pq > 0.0).all():
             bad = np.argmin(pq > 0.0)
@@ -309,7 +308,7 @@ def _pcg(lap, modes, cell_volume, eigenvalues, coef, deriv, res):
         y += alpha * p
         r -= alpha * q
         rr = _rowdot(r, r)
-    return coef * ((st * out) @ lap) - res
+    return coef * lap_rows(st * out) - res
 
 
 def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
@@ -318,69 +317,66 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
     tol_abs per row; returns (w, final residual norm of each row).
 
     The rows not yet converged iterate together, each with its own line
-    search and stopping test.  Grids up to _DENSE_LIMIT cells solve the
-    Newton systems directly: by dense LU, one row at a time, while fewer
-    than _PCG_ROWS rows iterate, so a lone row and a small batch take the
-    bits of each row alone; by one masked, batched PCG (`_pcg`) for more,
-    and then a residual of the rows is one GEMM too.  A PCG update agrees
-    with the LU one to about _PCG_RTOL, so each row of a large batch ends
-    within 1e-9 relative of its lone run, not bit for bit.
-    Larger grids use matrix-free GMRES with a spectral preconditioner, one
-    row at a time.  A failure names its row.
+    search and stopping test, and solve their Newton systems by one masked,
+    batched PCG (`_pcg`), except where a dense LU is cheaper.  Grids up to
+    _DENSE_LIMIT cells hold the dense Laplacian: while fewer than _PCG_ROWS
+    rows iterate they solve by LU, one row at a time, so a lone row and a
+    small batch take the bits of each row alone; more rows take the PCG
+    with one GEMM per product, and a residual of the rows is one GEMM too.
+    Larger grids take the PCG for every row count, its products separable
+    transforms (`apply_laplacian`, `analyze`, `synthesize`) of the rows
+    still iterating.  A PCG update agrees with the exact one to about
+    _PCG_RTOL, so each row of a dense PCG batch ends within 1e-9 relative
+    of its lone run, not bit for bit.  A failure names its row.
     """
     n = basis.grid_size
-    lap = None
     if n <= _DENSE_LIMIT:
         lap = basis.laplacian_matrix()
         neg_lap = -coef * lap
 
+        def lap_rows(z):  # lap is symmetric
+            return z @ lap
+
         def apply_lap(z):
-            if len(z) >= _PCG_ROWS:  # a PCG batch: one GEMM, lap symmetric
+            if len(z) >= _PCG_ROWS:  # a PCG batch: one GEMM
                 return z @ lap
             return np.matmul(lap, z[..., None])[..., 0]  # lap @ each row
 
-        def solve_row(d, r):
-            # I - coef lap d, rounded as np.eye(n) - coef * lap * d
-            jac = neg_lap * d
-            jac.flat[:: n + 1] += 1.0
-            return np.linalg.solve(jac, -r)
-    else:
-        krylov = sys.modules[__name__]  # looked up per call: see __getattr__
+        def solve(deriv, res):
+            if len(deriv) >= _PCG_ROWS:
+                modes = basis.mode_matrix()
+                analysis = np.ascontiguousarray(modes.T)
 
+                def band(r, weight):
+                    z = r @ analysis
+                    z *= weight
+                    return z @ modes
+
+                return _pcg(lap_rows, band, np.diagonal(lap),
+                            basis.eigenvalues, basis.cell_volume, coef,
+                            deriv, res)
+            delta = np.empty_like(deriv)
+            for j, (d, r) in enumerate(zip(deriv, res)):
+                # I - coef lap d, rounded as np.eye(n) - coef * lap * d
+                jac = neg_lap * d
+                jac.flat[:: n + 1] += 1.0
+                try:
+                    delta[j] = np.linalg.solve(jac, -r)
+                except np.linalg.LinAlgError as exc:
+                    raise _Unsolved(j, str(exc)) from exc
+            return delta
+    else:
         def apply_lap(z):
             grid = z.reshape(z.shape[:-1] + basis.grid_shape)
             return apply_laplacian(basis, grid).reshape(z.shape)
 
-        def solve_row(d, r):
-            # the Jacobian with d frozen at its mean, inverted on the band;
-            # the identity off it
-            scale = 1.0 / (1.0 + coef * float(np.mean(d)) * basis.eigenvalues)
+        def band(r, weight):  # analyze carries the cell volume
+            coeffs = analyze(basis, r.reshape(r.shape[:-1] + basis.grid_shape))
+            return synthesize(basis, weight * coeffs).reshape(r.shape)
 
-            def pmv(z):
-                coeffs = analyze(basis, z.reshape(basis.grid_shape))
-                return z + synthesize(basis, coeffs * (scale - 1.0)).reshape(-1)
-
-            jac = krylov.LinearOperator(
-                (n, n), matvec=lambda z: z - coef * apply_lap(d * z)
-            )
-            precond = krylov.LinearOperator((n, n), matvec=pmv)
-            delta, info = krylov.gmres(jac, -r, rtol=1e-10, atol=0.0,
-                                       M=precond, maxiter=200)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"inner GMRES failed (info={info})")
-            return delta
-
-    def solve(deriv, res):
-        if lap is not None and len(deriv) >= _PCG_ROWS:
-            return _pcg(lap, basis.mode_matrix(), basis.cell_volume,
-                        basis.eigenvalues, coef, deriv, res)
-        delta = np.empty_like(deriv)
-        for j, (d, r) in enumerate(zip(deriv, res)):
-            try:
-                delta[j] = solve_row(d, r)
-            except np.linalg.LinAlgError as exc:
-                raise _Unsolved(j, str(exc)) from exc
-        return delta
+        def solve(deriv, res):
+            return _pcg(apply_lap, band, basis.laplacian_diagonal(),
+                        basis.eigenvalues, 1.0, coef, deriv, res)
 
     def residual(z, b):
         return z - coef * apply_lap(power_gamma(z, gamma)) - b

@@ -1,5 +1,6 @@
 """Stepping kernels against closed forms and brute-force oracles."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -22,7 +23,7 @@ from klausim.dynamics import (
 )
 from klausim.fields import lp_norm, power_gamma
 from klausim.noise import NoiseSpec, generate_path, stratonovich_correction
-from klausim.scenarios import exit_scenario
+from klausim.scenarios import bump_field, exit_scenario
 
 from helpers import final_state
 
@@ -150,7 +151,7 @@ def test_pm_step_matches_per_mode_bisection_oracle():
 
 
 def test_pm_step_krylov_path_manufactured_2d():
-    """Grids past the dense-LU limit use matrix-free GMRES; same contract."""
+    """Grids past the dense-LU limit use the transform PCG; same contract."""
     basis = build_basis(2, "periodic", 64, 150)
     model = ModelConfig(r_u=0.7, gamma=2.5, sigma1=0.0)
     dt = 5e-3
@@ -170,8 +171,8 @@ def test_pm_step_krylov_path_manufactured_2d():
 @pytest.mark.parametrize("d,n,dense", [(1, 256, True), (2, 32, False),
                                        (3, 8, False)])
 def test_pm_step_builds_dense_matrix_only_on_small_grids(d, n, dense):
-    """Dense LU up to 256 grid points, matrix-free GMRES past them: the
-    GMRES path never builds the N^d x N^d Laplacian."""
+    """Dense LU up to 256 grid points, the transform PCG past them: the
+    PCG path never builds the N^d x N^d Laplacian."""
     basis = build_basis(d, "neumann", n, min(n**d, 200))
     model = ModelConfig(r_u=0.7, gamma=2.5, sigma1=0.0)
     x = basis.axis_coordinates()
@@ -611,27 +612,60 @@ def test_pcg_breakdown_raises_newton_error_naming_step_and_path(monkeypatch):
     assert err.path in paths[3:]
 
 
-def test_unsolved_newton_system_names_its_row(monkeypatch):
-    """A system GMRES does not solve names its row, with its residual, on
-    the GMRES path of a d=2 batch."""
+def _run_failing_2d_batch(monkeypatch, failure, u0=None):
+    """`_run_failing_batch` on a d=2 Neumann N=32 grid, 1024 cells, where
+    every row count solves by the transform PCG; u0 defaults to a bump."""
+    sc = exit_scenario(seed=808, n=32, t_final=0.02)
     basis = build_basis(2, "neumann", 32, 120)
     assert basis.grid_size > dynamics._DENSE_LIMIT
-    model = ModelConfig(r_u=1.0, gamma=3.0, sigma1=0.4)
-    solver = make_solver(dt=4e-3)
-    u, source, dw1 = _rough_batch(basis, 3, seed=5)
-    seen = []
-    gmres = dynamics.gmres
+    sc = dataclasses.replace(
+        sc, basis=basis,
+        u0=bump_field(basis, 0.9, 0.5) if u0 is None else u0(basis),
+        v0=bump_field(basis, 0.8, 0.4, center=0.35))
+    paths = np.arange(9, 3, -1)
 
-    def flaky(jac, b, **kw):
-        seen.append(b.copy())
-        if len(seen) > 1 and np.array_equal(b, seen[1]):  # row 1's system
-            return np.zeros_like(b), 7
-        return gmres(jac, b, **kw)
+    def observe(n, u, v, live, rung):
+        if n == 2:
+            failure(sc.basis)
+            return live[3:], ()
+        return live, ()
 
-    monkeypatch.setattr(dynamics, "gmres", flaky)
     with pytest.raises(NewtonError) as err:
-        pm_implicit_step(basis, u, source, dw1, model, solver, solver.dt)
-    assert err.value.row == 1
-    assert err.value.iterations == 0
-    assert "info=7" in str(err.value)
-    assert err.value.residual == lp_norm(seen[1], 2.0)
+        dynamics._run_paths(sc, paths, observe)
+    return err.value, paths
+
+
+def test_transform_pcg_cap_names_step_row_and_path(monkeypatch):
+    """Above the dense limit the PCG stops at its cap, 2 n iterations, and
+    the error carries the step, the row and the global path.  The transform
+    products leave no rounding floor, so on smooth rows the residual falls
+    until it underflows; a rough u0 of amplitude 20 slows the iteration
+    enough that the cap comes first (the largest row residual^2 left is
+    about 1e-91)."""
+    def no_tolerance(basis):
+        monkeypatch.setattr(dynamics, "_PCG_RTOL", 0.0)
+
+    def rough(basis):
+        rng = np.random.default_rng(5)
+        return 20.0 * (1.0 + 0.8 * rng.standard_normal(basis.grid_shape) ** 2)
+
+    err, paths = _run_failing_2d_batch(monkeypatch, no_tolerance, rough)
+    assert "PCG did not converge in 2048 iterations" in str(err)
+    assert err.step_index == 2
+    assert err.row == 0 and err.path == paths[3] == 6  # row 0 of the live
+    assert f"path {err.path}" in str(err)
+    assert err.iterations == 0 and np.isfinite(err.residual)
+
+
+def test_transform_pcg_breakdown_names_step_row_and_path(monkeypatch):
+    """An indefinite system (the Laplacian's sign flipped) breaks the
+    transform PCG down on zero or negative curvature."""
+    def flip(basis):
+        monkeypatch.setattr(dynamics, "apply_laplacian",
+                            lambda basis, f: -apply_laplacian(basis, f))
+
+    err, paths = _run_failing_2d_batch(monkeypatch, flip)
+    assert "PCG breakdown" in str(err)
+    assert err.step_index == 2
+    assert err.row in range(3) and err.path == paths[3 + err.row]
+    assert f"path {err.path}" in str(err)

@@ -5,10 +5,12 @@ had before every solve ran on a batch of rows: one field, a scalar residual
 norm, its own Armijo line search, dense LU on small grids and preconditioned
 GMRES on large ones.  `serial_pm_step` wraps it with the same right-hand
 side, tolerance and mean pinning as `pm_implicit_step`.  Every row of a
-batched `pm_implicit_step` must equal the oracle on that row alone, bit for
-bit, on a GMRES grid and on a dense grid below `_PCG_ROWS` rows; a dense
-batch of at least `_PCG_ROWS` rows solves by PCG and must stay within 1e-9
-of the oracle, relative to the largest entry of the row.
+batched `pm_implicit_step` on a dense grid below `_PCG_ROWS` rows must equal
+the oracle on that row alone, bit for bit.  The rows that solve by PCG -
+a dense batch of at least `_PCG_ROWS` rows, and every row count on a grid
+above `_DENSE_LIMIT` cells - must stay within 1e-9 of the oracle, relative
+to the largest entry of the row; the GMRES oracle is independent of the
+PCG it checks.
 """
 
 import numpy as np
@@ -123,7 +125,8 @@ GRIDS = {
     # d=1 N=64: dense LU, or PCG from _PCG_ROWS rows on; the grid of the
     # Picard and ensemble workloads
     "lu": lambda: build_basis(1, "periodic", 64, 63),
-    # d=2 N=32 with a truncated band: preconditioned GMRES
+    # d=2 N=32 with a truncated band: the transform PCG, against the
+    # oracle's preconditioned GMRES
     "gmres": lambda: build_basis(2, "neumann", 32, 120),
 }
 
@@ -138,7 +141,7 @@ def test_batched_pm_step_matches_serial_newton(grid, rows):
     u, source, dw1 = _batch(basis, rows, seed=rows)
     batch = pm_implicit_step(basis, u, source, dw1, model, solver, solver.dt)
     assert batch.shape == u.shape
-    pcg = grid == "lu" and rows >= _PCG_ROWS
+    pcg = grid == "gmres" or rows >= _PCG_ROWS
     for j in range(rows):
         alone = serial_pm_step(basis, u[j], source[j], dw1[j], model, solver,
                                solver.dt)
@@ -151,7 +154,8 @@ def test_batched_pm_step_matches_serial_newton(grid, rows):
 
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 def test_lone_pm_step_matches_serial_newton(grid):
-    """A lone field is a batch of one: same bits as the serial oracle."""
+    """A lone field is a batch of one: by LU the same bits as the serial
+    oracle, by the transform PCG within 1e-9 of its largest entry."""
     basis = GRIDS[grid]()
     model = ModelConfig(r_u=1.0, gamma=3.0, sigma1=0.4)
     solver = SolverConfig(dt=4e-3, t_final=1.0)
@@ -161,4 +165,7 @@ def test_lone_pm_step_matches_serial_newton(grid):
     want = serial_pm_step(basis, u[1], source[1], dw1[1], model, solver,
                           solver.dt)
     assert got.shape == basis.grid_shape
-    assert np.array_equal(got, want)
+    if grid == "gmres":
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    else:
+        assert np.array_equal(got, want)
