@@ -53,7 +53,7 @@ _DENSE_LIMIT = 256
 # rather than by LU row by row: the measured crossover at d=1 N=32 and 64
 _PCG_ROWS = 16
 # each PCG row stops at this residual relative to its right-hand side
-_PCG_RTOL = 1e-10
+_PCG_RTOL = 1e-6
 
 
 def __getattr__(name):
@@ -259,10 +259,15 @@ def _pcg(lap_rows, band, lap_diag, eigenvalues, volume, coef, deriv, res):
     (rows, n_modes) and synthesized - and lap_diag is diag(L).  The weights
     carry `volume`, the rectangle-rule weight band's analysis leaves out.
 
-    Each row stops once its residual is within _PCG_RTOL of its right-hand
-    side and leaves the iteration; d = -res + coef L (S x) then needs no
-    division by S.  A zero-curvature breakdown, or a row still iterating
-    after 2 n iterations, raises _Unsolved naming the row.
+    A row leaves the iteration once its residual is within _PCG_RTOL of its
+    right-hand side and the update's own residual is within _PCG_RTOL of
+    res.  The update d = -res + coef L (S x) needs no division by S; its
+    residual J d + res is coef L D e, where e = -r / (S T) is that of S^-1 x,
+    so |J d + res| <= coef nu_max |r S / T|.  The second test keeps every
+    update a descent direction where coef L D reaches 1e7 (rough rows at d=1
+    N=512), which the first alone does not.  A zero-curvature breakdown, or
+    a row still iterating after 2 n iterations, raises _Unsolved naming the
+    row.
     """
     k, n = deriv.shape
     mean = deriv.mean(axis=1)[:, None]
@@ -277,16 +282,21 @@ def _pcg(lap_rows, band, lap_diag, eigenvalues, volume, coef, deriv, res):
     left = np.arange(k)  # the rows still iterating, by position
     rr = _rowdot(r, r)
     stop = _PCG_RTOL**2 * rr
+    s_t = u / t2  # S / T
+    gain = (coef * eigenvalues[-1]) ** 2
+    descent = _PCG_RTOL**2 * _rowdot(res, res)
     p = rz = None
     for it in range(2 * n + 1):
-        done = rr <= stop
+        de = r * s_t
+        done = (rr <= stop) & (gain * _rowdot(de, de) <= descent)
         if done.any():
             out[left[done]] = y[done]
             keep = ~done
             if not keep.any():
                 break
-            left, y, r, u, cu, t2, weight, rr, stop = (
-                a[keep] for a in (left, y, r, u, cu, t2, weight, rr, stop))
+            left, y, r, u, cu, t2, s_t, weight, rr, stop, descent = (
+                a[keep] for a in (left, y, r, u, cu, t2, s_t, weight, rr,
+                                  stop, descent))
             if p is not None:
                 p, rz = p[keep], rz[keep]
         if it == 2 * n:
