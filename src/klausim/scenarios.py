@@ -51,9 +51,11 @@ def bump_field(
 
     exp(-sin^2(pi (x - c)) / w^2) is C-infinity and 1-periodic with vanishing
     derivative at the box faces, so it is friendly to both boundary types.
+    A width whose square overflows gives the flat limit, profile 1.
     """
     x = basis.axis_coordinates()
-    profile = np.exp(-np.sin(np.pi * (x - center)) ** 2 / width**2)
+    # width * width rounds as width**2 but overflows to inf, not OverflowError
+    profile = np.exp(-np.sin(np.pi * (x - center)) ** 2 / (width * width))
     field = profile
     for _ in range(basis.dimension - 1):
         field = np.multiply.outer(field, profile)

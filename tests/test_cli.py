@@ -609,6 +609,23 @@ def test_value_outside_domain_fails_by_key(tmp_path, subcommand, override):
     assert override.split("=")[0] in failure["details"]["error"]
 
 
+@pytest.mark.parametrize("override", ["initial.u_width=1e200",
+                                      "initial.v_width=1e300"])
+def test_width_whose_square_overflows_runs_flat(tmp_path, override):
+    """A finite width inside its domain runs: its bump is the flat limit."""
+    out = tmp_path / "out"
+    status = main(["simulate", "--out", str(out), "--override",
+                   "solver.t_final=0.01", "--override", override])
+    assert status == 0
+    assert not (out / "failure.json").exists()
+    assert (out / "norms.tsv").stat().st_size > 0
+    cfg = default_config()
+    apply_overrides(cfg, [override])
+    sc = build_scenario(cfg)
+    flat = sc.u0 if override.startswith("initial.u") else sc.v0
+    assert np.all(flat == flat.flat[0])
+
+
 @pytest.mark.parametrize("argv, env, source", [
     (["--seed", "-1"], None, "--seed"),
     (["--seed", "abc"], None, "--seed"),
