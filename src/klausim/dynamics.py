@@ -22,12 +22,14 @@ sampler observe one path-batch runner and stream their statistics.
 The Newton driver and the row norms compute on one shape, a batch of paths
 (P,) + grid; a lone field is a batch of one.  Each path runs its own Newton
 iteration and line search, and each norm reduces its row as a lone field's
-and takes its roots and powers on scalars.  The batch contract: a lone
-field, and a batch solved by LU or GMRES, advances bit for bit as each row
-would alone; a batch of at least _PCG_ROWS rows on a dense grid solves its
-Newton systems by one batched PCG, so each row stays within 1e-9 of its
-lone run, relative to the largest entry of each field, and a row's bits
-depend on the batch it is stepped in.
+and takes its roots and powers on scalars.  The batch contract: a batch
+solved by LU, on a grid of at most _DENSE_LIMIT cells with fewer than
+_PCG_ROWS rows iterating, advances bit for bit as each row would alone.
+Every other batch solves its Newton systems by one batched PCG: from
+_PCG_ROWS rows on a dense grid, and at every row count, lone fields
+included, on a larger grid.  Each row then stays within 1e-9 of its lone
+run, relative to the largest entry of each field; on a dense grid a row's
+bits depend on the batch it is stepped in.
 """
 
 from __future__ import annotations
