@@ -152,9 +152,8 @@ class SpectralBasis:
         return lap
 
     def laplacian_diagonal(self) -> np.ndarray:
-        """Diagonal of `laplacian_matrix`, -sum_k nu_k psi_k(x_i)^2 h^d over
-        the flattened grid, from one expansion on the squared axis table, so
-        no dense matrix is built.  Cached."""
+        """Diagonal of `laplacian_matrix`, flattened, from one expansion on
+        the squared axis table: no dense matrix.  Cached."""
         diag = self._cache.get("laplacian_diagonal")
         if diag is None:
             squares = expand(self, self.eigenvalues, self.axis_table**2)
@@ -182,12 +181,10 @@ def build_basis(d: int, boundary: str, n: int, n_modes: int) -> SpectralBasis:
     multi-index); ordering is by eigenvalue, ties broken lexicographically.
 
     One array pass over the r^d multi-indices of the r axis modes: each
-    eigenvalue sums its axis eigenvalues left to right, one outer sum per
-    axis, `partition` finds the n_modes-th smallest, and `lexsort` orders
-    only the modes at or below it; only their multi-indices are unravelled.
+    eigenvalue sums its axis eigenvalues left to right, `partition` finds the
+    n_modes-th smallest, and `lexsort` orders only the modes at or below it.
     Time and memory grow as r^d numbers, not Python objects (d=3 Neumann
-    N=128, 20000 modes: 0.04 s and 70 MB peak RSS in a fresh process on
-    2 cores, 37 MB of it the import).
+    N=128, 20000 modes: 0.04 s and 70 MB peak RSS, 37 MB of it the import).
     """
     if d not in (1, 2, 3):
         raise ValueError(f"unsupported dimension {d}; expected 1, 2 or 3")
@@ -206,8 +203,7 @@ def build_basis(d: int, boundary: str, n: int, n_modes: int) -> SpectralBasis:
         )
     axis = np.array(_axis_indices(n, boundary))
     r = len(axis)
-    # summed left to right, one axis at a time, so each rounds as a Python
-    # sum over the axes
+    # one outer sum per axis, left to right, as a Python sum over the axes
     lams = functools.reduce(np.add.outer, [_axis_eigenvalue(axis, boundary)] * d)
     lams = lams.reshape(-1)
     kept = np.flatnonzero(lams <= np.partition(lams, n_modes - 1)[n_modes - 1])
@@ -219,11 +215,9 @@ def build_basis(d: int, boundary: str, n: int, n_modes: int) -> SpectralBasis:
     used[positions] = True
     rows = np.cumsum(used) - 1  # each used row's place in the axis table
     x = _axis_grid(n, boundary)
-    axis_table = np.array([_axis_mode(i, x, boundary)
-                           for i in axis[used].tolist()])
+    axis_table = np.array([_axis_mode(i, x, boundary) for i in axis[used].tolist()])
     band_positions = np.ravel_multi_index(tuple(rows[positions]),
                                           (int(used.sum()),) * d)
-    multi = axis[positions]
     axis_table.flags.writeable = False
     band_positions.flags.writeable = False
 
@@ -233,7 +227,7 @@ def build_basis(d: int, boundary: str, n: int, n_modes: int) -> SpectralBasis:
         grid_points=n,
         n_modes=n_modes,
         eigenvalues=lams[kept],
-        mode_indices=tuple(map(tuple, multi.T.tolist())),
+        mode_indices=tuple(map(tuple, axis[positions].T.tolist())),
         axis_table=axis_table,
         band_positions=band_positions,
     )

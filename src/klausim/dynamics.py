@@ -23,13 +23,10 @@ The Newton driver and the row norms compute on one shape, a batch of paths
 (P,) + grid; a lone field is a batch of one.  Each path runs its own Newton
 iteration and line search, and each norm reduces its row as a lone field's
 and takes its roots and powers on scalars.  The batch contract: a batch
-solved by LU, on a grid of at most _DENSE_LIMIT cells with fewer than
-_PCG_ROWS rows iterating, advances bit for bit as each row would alone.
-Every other batch solves its Newton systems by one batched PCG: from
-_PCG_ROWS rows on a dense grid, and at every row count, lone fields
-included, on a larger grid.  Each row then stays within 1e-9 of its lone
-run, relative to the largest entry of each field; on a dense grid a row's
-bits depend on the batch it is stepped in.
+solved by LU (fewer than _PCG_ROWS rows on a dense grid) advances bit for
+bit as each row would alone; any other, a lone field on a larger grid
+included, solves by one batched PCG, and each row stays within 1e-9 of its
+lone run, relative to the largest entry of each field.
 """
 
 from __future__ import annotations
@@ -48,8 +45,7 @@ ITO = "ito"
 STRATONOVICH = "stratonovich"
 
 # grids up to this many cells solve the Newton updates with the dense
-# Laplacian, by LU or by a PCG of GEMM products; larger grids solve every
-# row count by a PCG of separable transforms, the faster side there
+# Laplacian; larger grids by a PCG of separable transforms, faster there
 _DENSE_LIMIT = 256
 # on dense grids, this many rows iterating at once solve by one batched PCG
 # rather than by LU row by row: the measured crossover at d=1 N=32 and 64
@@ -59,10 +55,8 @@ _PCG_RTOL = 1e-6
 
 
 def __getattr__(name):
-    """scipy's gmres, bound here on first use under this one name.  No solve
-    calls it, and no run loads scipy; `bench/tracer.py` wraps
-    `dynamics.gmres` by name, so the name must still resolve.  A binding
-    already present (a wrapped gmres) is kept."""
+    """scipy's gmres, bound on first use unless a wrapper is bound: no solve
+    calls it, but `bench/tracer.py` wraps `dynamics.gmres` by name."""
     if name != "gmres":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from scipy.sparse.linalg import gmres
@@ -253,23 +247,18 @@ def _pcg(lap_rows, band, lap_diag, eigenvalues, volume, coef, deriv, res):
     the diagonal of the frozen operator to that of A, so rows whose D
     varies by decades still converge in tens of iterations.  The iteration
     runs on T A T y = T b, x = T y, preconditioned by P, which takes the
-    same steps with fewer products.
+    same steps with fewer products.  The products come in, each over the
+    rows still iterating: lap_rows(z) is L times each row of z, and
+    band(r, w) the band part of P, r analyzed, scaled by w and synthesized;
+    w carries `volume` where band's analysis leaves the cell volume out.
 
-    The products come in, so one loop serves every grid, each product taken
-    over the rows still iterating at once: lap_rows(z) is L times each row
-    of z, band(r, w) the band part of P - r - analyzed, scaled by w
-    (rows, n_modes) and synthesized - and lap_diag is diag(L).  The weights
-    carry `volume`, the rectangle-rule weight band's analysis leaves out.
-
-    A row leaves the iteration once its residual is within _PCG_RTOL of its
-    right-hand side and the update's own residual is within _PCG_RTOL of
-    res.  The update d = -res + coef L (S x) needs no division by S; its
-    residual J d + res is coef L D e, where e = -r / (S T) is that of S^-1 x,
-    so |J d + res| <= coef nu_max |r S / T|.  The second test keeps every
-    update a descent direction where coef L D reaches 1e7 (rough rows at d=1
-    N=512), which the first alone does not.  A zero-curvature breakdown, or
-    a row still iterating after 2 n iterations, raises _Unsolved naming the
-    row.
+    A row leaves once its residual is within _PCG_RTOL of its right-hand
+    side and J d + res within _PCG_RTOL of res.  The update d = -res +
+    coef L (S x) needs no division by S, and J d + res = coef L D e, with
+    e = -r / (S T) the residual of S^-1 x: at most coef nu_max |r S / T|.
+    The second test keeps d a descent direction where coef L D reaches 1e7
+    (rough d=1 N=512 rows).  A zero-curvature breakdown, or a row still
+    iterating after 2 n iterations, raises _Unsolved naming the row.
     """
     k, n = deriv.shape
     mean = deriv.mean(axis=1)[:, None]
@@ -284,13 +273,12 @@ def _pcg(lap_rows, band, lap_diag, eigenvalues, volume, coef, deriv, res):
     left = np.arange(k)  # the rows still iterating, by position
     rr = _rowdot(r, r)
     stop = _PCG_RTOL**2 * rr
-    s_t = u / t2  # S / T
-    gain = (coef * eigenvalues[-1]) ** 2
+    s_t = coef * eigenvalues[-1] * u / t2  # coef nu_max S / T
     descent = _PCG_RTOL**2 * _rowdot(res, res)
     p = rz = None
     for it in range(2 * n + 1):
         de = r * s_t
-        done = (rr <= stop) & (gain * _rowdot(de, de) <= descent)
+        done = (rr <= stop) & (_rowdot(de, de) <= descent)
         if done.any():
             out[left[done]] = y[done]
             keep = ~done
@@ -329,25 +317,19 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
     tol_abs per row; returns (w, final residual norm of each row).
 
     The rows not yet converged iterate together, each with its own line
-    search and stopping test, and solve their Newton systems by one masked,
-    batched PCG (`_pcg`), except where a dense LU is cheaper.  Grids up to
-    _DENSE_LIMIT cells hold the dense Laplacian: while fewer than _PCG_ROWS
-    rows iterate they solve by LU, one row at a time, so a lone row and a
-    small batch take the bits of each row alone; more rows take the PCG
-    with one GEMM per product, and a residual of the rows is one GEMM too.
-    Larger grids take the PCG for every row count, its products separable
-    transforms (`apply_laplacian`, `analyze`, `synthesize`) of the rows
-    still iterating.  A PCG update agrees with the exact one to about
-    _PCG_RTOL, so each row of a dense PCG batch ends within 1e-9 relative
-    of its lone run, not bit for bit.  A failure names its row.
+    search and stopping test.  Grids up to _DENSE_LIMIT cells hold the
+    dense Laplacian: while fewer than _PCG_ROWS rows iterate they solve by
+    LU, one row at a time, so a lone row and a small batch take the bits of
+    each row alone; more rows take one masked, batched PCG (`_pcg`) with a
+    GEMM per product, and a residual of the rows is one GEMM too.  Larger
+    grids take the PCG at every row count, its products separable
+    transforms.  A PCG row ends within 1e-9 relative of its LU solve, not
+    bit for bit.  A failure names its row.
     """
     n = basis.grid_size
     if n <= _DENSE_LIMIT:
         lap = basis.laplacian_matrix()
         neg_lap = -coef * lap
-
-        def lap_rows(z):  # lap is symmetric
-            return z @ lap
 
         def apply_lap(z):
             if len(z) >= _PCG_ROWS:  # a PCG batch: one GEMM
@@ -355,18 +337,13 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
             return np.matmul(lap, z[..., None])[..., 0]  # lap @ each row
 
         def solve(deriv, res):
-            if len(deriv) >= _PCG_ROWS:
+            if len(deriv) >= _PCG_ROWS:  # GEMM products, lap symmetric
                 modes = basis.mode_matrix()
                 analysis = np.ascontiguousarray(modes.T)
-
-                def band(r, weight):
-                    z = r @ analysis
-                    z *= weight
-                    return z @ modes
-
-                return _pcg(lap_rows, band, np.diagonal(lap),
-                            basis.eigenvalues, basis.cell_volume, coef,
-                            deriv, res)
+                return _pcg(lambda z: z @ lap,
+                            lambda r, w: (r @ analysis * w) @ modes,
+                            np.diagonal(lap), basis.eigenvalues,
+                            basis.cell_volume, coef, deriv, res)
             delta = np.empty_like(deriv)
             for j, (d, r) in enumerate(zip(deriv, res)):
                 # I - coef lap d, rounded as np.eye(n) - coef * lap * d

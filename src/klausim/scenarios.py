@@ -51,10 +51,10 @@ def bump_field(
 
     exp(-sin^2(pi (x - c)) / w^2) is C-infinity and 1-periodic with vanishing
     derivative at the box faces, so it is friendly to both boundary types.
-    A width whose square overflows gives the flat limit, profile 1.
+    A width whose square overflows to inf (width**2 would raise) gives the
+    flat limit, profile 1.
     """
     x = basis.axis_coordinates()
-    # width * width rounds as width**2 but overflows to inf, not OverflowError
     profile = np.exp(-np.sin(np.pi * (x - center)) ** 2 / (width * width))
     field = profile
     for _ in range(basis.dimension - 1):
