@@ -25,8 +25,7 @@ iteration and line search, and each norm reduces its row as a lone field's
 and takes its roots and powers on scalars.  The batch contract: a batch
 solved by LU (fewer than _PCG_ROWS rows on a dense grid) advances bit for
 bit as each row would alone; any other, a lone field on a larger grid
-included, solves by one batched PCG, and each row stays within 1e-9 of its
-lone run, relative to the largest entry of each field.
+included, solves by one batched PCG, each row within 1e-9 of its lone run.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ _DENSE_LIMIT = 256
 # on dense grids, this many rows iterating at once solve by one batched PCG
 # rather than by LU row by row: the measured crossover at d=1 N=32 and 64
 _PCG_ROWS = 16
-# each PCG row stops at this residual relative to its right-hand side
+# relative tolerance of a PCG row's residual and of its update's residual
 _PCG_RTOL = 1e-6
 
 
@@ -253,12 +252,12 @@ def _pcg(lap_rows, band, lap_diag, eigenvalues, volume, coef, deriv, res):
     w carries `volume` where band's analysis leaves the cell volume out.
 
     A row leaves once its residual is within _PCG_RTOL of its right-hand
-    side and J d + res within _PCG_RTOL of res.  The update d = -res +
+    side and J d + res within _PCG_RTOL of res: the update d = -res +
     coef L (S x) needs no division by S, and J d + res = coef L D e, with
-    e = -r / (S T) the residual of S^-1 x: at most coef nu_max |r S / T|.
-    The second test keeps d a descent direction where coef L D reaches 1e7
-    (rough d=1 N=512 rows).  A zero-curvature breakdown, or a row still
-    iterating after 2 n iterations, raises _Unsolved naming the row.
+    e = -r / (S T), is one product of the rows passing the first test.  It
+    keeps d a descent direction where coef L D reaches 1e7 (rough d=1 N=512
+    rows).  A zero-curvature breakdown, or a row still iterating after 2 n
+    iterations, raises _Unsolved naming the row.
     """
     k, n = deriv.shape
     mean = deriv.mean(axis=1)[:, None]
@@ -273,20 +272,21 @@ def _pcg(lap_rows, band, lap_diag, eigenvalues, volume, coef, deriv, res):
     left = np.arange(k)  # the rows still iterating, by position
     rr = _rowdot(r, r)
     stop = _PCG_RTOL**2 * rr
-    s_t = coef * eigenvalues[-1] * u / t2  # coef nu_max S / T
     descent = _PCG_RTOL**2 * _rowdot(res, res)
     p = rz = None
     for it in range(2 * n + 1):
-        de = r * s_t
-        done = (rr <= stop) & (_rowdot(de, de) <= descent)
+        done = rr <= stop
+        if done.any():  # J d + res = coef L D e, D e = -r S / T: as small
+            rho = coef * lap_rows(r[done] * u[done] / t2[done])
+            done[done] = _rowdot(rho, rho) <= descent[done]
         if done.any():
             out[left[done]] = y[done]
             keep = ~done
             if not keep.any():
                 break
-            left, y, r, u, cu, t2, s_t, weight, rr, stop, descent = (
-                a[keep] for a in (left, y, r, u, cu, t2, s_t, weight, rr,
-                                  stop, descent))
+            left, y, r, u, cu, t2, weight, rr, stop, descent = (
+                a[keep] for a in (left, y, r, u, cu, t2, weight, rr, stop,
+                                  descent))
             if p is not None:
                 p, rz = p[keep], rz[keep]
         if it == 2 * n:
