@@ -569,11 +569,13 @@ def test_pcg_crossover_picks_the_solver(per64, monkeypatch, rows):
         assert all(c[0] == "lu" for c in calls)
 
 
-def _run_failing_batch(monkeypatch, failure):
-    """Paths 40-59, reversed, of an exit scenario as one batch: rows 0-2 stop
-    after step 2, then `failure(basis)` breaks the PCG of the next step."""
-    sc = exit_scenario(seed=808, n=32, t_final=0.02)
-    paths = np.arange(59, 39, -1)
+def _run_failing_batch(monkeypatch, failure, sc=None,
+                       paths=np.arange(59, 39, -1)):
+    """Paths `paths` of `sc` (by default an exit scenario, paths 40-59
+    reversed) as one batch: rows 0-2 stop after step 2, then
+    `failure(basis)` breaks the PCG of the next step."""
+    if sc is None:
+        sc = exit_scenario(seed=808, n=32, t_final=0.02)
 
     def observe(n, u, v, live, rung):
         if n == 2:
@@ -612,27 +614,16 @@ def test_pcg_breakdown_raises_newton_error_naming_step_and_path(monkeypatch):
     assert err.path in paths[3:]
 
 
-def _run_failing_2d_batch(monkeypatch, failure, u0=None):
-    """`_run_failing_batch` on a d=2 Neumann N=32 grid, 1024 cells, where
-    every row count solves by the transform PCG; u0 defaults to a bump."""
+def _d2_exit_scenario(u0=None):
+    """The exit scenario on a d=2 Neumann N=32 grid, 1024 cells, where every
+    row count solves by the transform PCG; u0(basis) defaults to a bump."""
     sc = exit_scenario(seed=808, n=32, t_final=0.02)
     basis = build_basis(2, "neumann", 32, 120)
     assert basis.grid_size > dynamics._DENSE_LIMIT
-    sc = dataclasses.replace(
+    return dataclasses.replace(
         sc, basis=basis,
         u0=bump_field(basis, 0.9, 0.5) if u0 is None else u0(basis),
         v0=bump_field(basis, 0.8, 0.4, center=0.35))
-    paths = np.arange(9, 3, -1)
-
-    def observe(n, u, v, live, rung):
-        if n == 2:
-            failure(sc.basis)
-            return live[3:], ()
-        return live, ()
-
-    with pytest.raises(NewtonError) as err:
-        dynamics._run_paths(sc, paths, observe)
-    return err.value, paths
 
 
 def test_transform_pcg_cap_names_step_row_and_path(monkeypatch):
@@ -649,7 +640,8 @@ def test_transform_pcg_cap_names_step_row_and_path(monkeypatch):
         rng = np.random.default_rng(5)
         return 20.0 * (1.0 + 0.8 * rng.standard_normal(basis.grid_shape) ** 2)
 
-    err, paths = _run_failing_2d_batch(monkeypatch, no_tolerance, rough)
+    err, paths = _run_failing_batch(monkeypatch, no_tolerance,
+                                    _d2_exit_scenario(rough), np.arange(9, 3, -1))
     assert "PCG did not converge in 2048 iterations" in str(err)
     assert err.step_index == 2
     assert err.row == 0 and err.path == paths[3] == 6  # row 0 of the live
@@ -664,7 +656,8 @@ def test_transform_pcg_breakdown_names_step_row_and_path(monkeypatch):
         monkeypatch.setattr(dynamics, "apply_laplacian",
                             lambda basis, f: -apply_laplacian(basis, f))
 
-    err, paths = _run_failing_2d_batch(monkeypatch, flip)
+    err, paths = _run_failing_batch(monkeypatch, flip, _d2_exit_scenario(),
+                                    np.arange(9, 3, -1))
     assert "PCG breakdown" in str(err)
     assert err.step_index == 2
     assert err.row in range(3) and err.path == paths[3 + err.row]
