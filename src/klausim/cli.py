@@ -618,7 +618,7 @@ def run(subcommand: str, cfg: RunConfig, out_dir, workers: Optional[int] = None,
                 details[name] = getattr(exc, name)
         _write_failure(out_dir, subcommand, "solver failure", details)
         status = 1
-    except FloatingPointError as exc:
+    except ArithmeticError as exc:  # FloatingPointError, OverflowError
         _write_failure(out_dir, subcommand, "non-finite statistic",
                        {"error": str(exc)})
         status = 1

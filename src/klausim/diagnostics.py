@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import SpectralBasis
-from .dynamics import ModelConfig, Trajectory, _run_paths
+from .dynamics import ModelConfig, Trajectory, step_coupled, _run, _stepper
 from .fields import _lp_rows, gradient_squared, lp_norm, sobolev_norm
 from .fixedpoint import FrozenPair, picard_solve
 from .noise import generate_path
@@ -269,10 +269,10 @@ def _chunk_statistics(scenario, p: float, indices: np.ndarray) -> np.ndarray:
     """The _STAT_NAMES of paths `indices` (an int array), one row each in
     that order.
 
-    The paths observe one `_run_paths` batch, so every row stays within the
-    batch contract of `dynamics._newton` of the path run alone.  The
-    statistics stream: each record adds its per-row rates, and no snapshot
-    is kept.
+    The paths step as one batch of `dynamics._run`, so every row stays
+    within the batch contract of `dynamics._newton` of the path run alone.
+    The statistics stream: each record adds its per-row rates, and no
+    snapshot is kept.
     """
     basis, model, rho, m0 = (scenario.basis, scenario.model,
                              scenario.hypothesis.rho, scenario.hypothesis.m0)
@@ -280,7 +280,7 @@ def _chunk_statistics(scenario, p: float, indices: np.ndarray) -> np.ndarray:
     # the _STAT_NAMES rows; the smoothing sum before its power
     acc = np.zeros((len(_STAT_NAMES), len(indices)))
 
-    def record(n, u, v, live, rung):
+    def record(n, u, v, live, rung, clipped):
         sup, diss, coup = _energy_rates(basis, u, v, p, model)
         np.maximum(acc[0], sup, out=acc[0])
         np.maximum(acc[3], [x ** m0 for x in
@@ -292,7 +292,9 @@ def _chunk_statistics(scenario, p: float, indices: np.ndarray) -> np.ndarray:
                        for x in sobolev_norm(basis, v, rho + 1.0).tolist()]
         return live, ()
 
-    _run_paths(scenario, indices, record)
+    spec, solver = scenario.noise, scenario.solver
+    step = _stepper(step_coupled, basis, model, solver, spec, None, None)
+    _run(basis, solver, scenario.u0, scenario.v0, indices, step, spec, record)
     bad = ~np.isfinite(acc).all(axis=0)
     if bad.any():
         raise FloatingPointError(

@@ -11,13 +11,13 @@ reaction field they pass to the kernel: u v^2 (coupled), phi * eta * xi^2
 with frozen fields (frozen), or none -- the decoupled post-stopping
 extension dynamics, which also drop k, f, g and give v unit extra decay.
 
-One time driver repeats a step with noise increments from a per-step
-source (a stored path, or Philox draws per step) and applies the per-step
-policy: step index and failing path on Newton failures,
-nonneg_policy=project, the finiteness check.  Direct runs and the frozen
-sweeps of the Picard iteration record one path's norm ledger, budget h and
-snapshots through one recorder; the moment ensemble and the exit-time
-sampler observe one path-batch runner and stream their statistics.
+One time loop, `_run`, steps a batch of rows by the step it is given, on
+noise a stored path gives every row or each row's Philox streams give
+(climbing rungs), and shows each record to one observer.  It owns the live
+rows and the per-step policy: a Newton failure or a non-finite row names
+its step, row and path; nonneg_policy=project clips and counts per row.
+The observers: the recorder (norm ledger, budget h, snapshots) of direct
+runs and Picard sweeps, the exit-time sampler and the moment ensemble.
 
 The Newton driver and the row norms compute on one shape, a batch of paths
 (P,) + grid; a lone field is a batch of one.  Each path runs its own Newton
@@ -38,7 +38,8 @@ import numpy as np
 
 from .basis import SpectralBasis, analyze, apply_laplacian, synthesize
 from .fields import _lp_rows, power_gamma, sobolev_norm
-from .noise import NoisePath, stratonovich_correction, _increment_rows, _path_keys
+from .noise import (NoisePath, NoiseSpec, stratonovich_correction,
+                    _increment_rows, _path_keys)
 
 ITO = "ito"
 STRATONOVICH = "stratonovich"
@@ -73,7 +74,7 @@ class NewtonError(RuntimeError):
         self.iterations = iterations
         self.step_index = step_index
         self.row = row  # the failing row of a batch of paths
-        self.path = None  # its global path index, set by the time driver
+        self.path = None  # its global path index, set by the time loop
 
     def __reduce__(self):  # pickled whole, so a pool worker's error arrives
         return (type(self), (str(self), self.residual, self.iterations,
@@ -464,25 +465,6 @@ def pm_implicit_step(
     return (w + shift[:, None]).reshape(rhs.shape)
 
 
-def _mult_drifts(basis, model, noise_spec, override):
-    """Multiplicative drift fields (c1, c2) added as state * c_j.
-
-    Stratonovich runs get the conversion drift automatically; Ito runs get
-    whatever the caller supplies (used to demonstrate the definitional
-    equality of the two discretizations).
-    """
-    if override is not None:
-        return override
-    if model.calculus == STRATONOVICH:
-        if noise_spec is None:
-            raise ValueError("stratonovich stepping needs the noise spectrum")
-        return (
-            stratonovich_correction(noise_spec, basis, 1, model.sigma1),
-            stratonovich_correction(noise_spec, basis, 2, model.sigma2),
-        )
-    return (None, None)
-
-
 def _lie_step(basis, state, model, solver, dw1, dw2, drift1, drift2, react):
     """The step kernel behind every public step.  `react` is the quadratic
     reaction field; None selects the decoupled extension dynamics."""
@@ -561,118 +543,6 @@ def step_decoupled(
                      None)
 
 
-def _drive(state, solver, n_steps, step, increments, paths=None):
-    """Apply `step` n_steps times from `state`, yielding (state, points
-    clipped to zero) at the start and after each step; step(state, n, dw1,
-    dw2) takes the noise increments(n) returns.  The per-step policy for
-    every caller: a Newton failure gets the step index, nonneg_policy=project
-    clips negative values to zero, and a non-finite state aborts the run.  A
-    batch of paths gets the same policy on every row: clipped points are
-    counted per row, and a failing row keeps its index.  `paths()`, if
-    given, returns the global path index of each row the step is given, and
-    a Newton error carries its row's as `path`; without it a non-finite
-    state names its row of the state, which then indexes the same rows."""
-    project = solver.nonneg_policy == "project"
-    yield state, 0
-    for n in range(n_steps):
-        dw1, dw2 = increments(n)
-        try:
-            new = step(state, n, dw1, dw2)
-        except NewtonError as exc:
-            path = None
-            if paths is not None and exc.row is not None:
-                path = int(paths()[exc.row])
-            where = "" if path is None else f"path {path}: "
-            err = NewtonError(
-                f"step {n} (t={state.t:.6g}): {where}{exc}",
-                exc.residual,
-                exc.iterations,
-                step_index=n,
-                row=exc.row,
-            )
-            err.path = path
-            raise err from exc
-        clipped = 0
-        if project:
-            below_u = new.u < 0.0
-            below_v = new.v < 0.0
-            clipped = (np.count_nonzero(below_u.reshape(len(new.u), -1), axis=1)
-                       + np.count_nonzero(below_v.reshape(len(new.v), -1),
-                                          axis=1))
-            new.u[below_u] = 0.0
-            new.v[below_v] = 0.0
-        if not (np.isfinite(new.u).all() and np.isfinite(new.v).all()):
-            row = None
-            if paths is None:
-                finite = [np.isfinite(f).reshape(len(f), -1).all(axis=1)
-                          for f in (new.u, new.v)]
-                row = int(np.argmin(finite[0] & finite[1]))
-            raise NewtonError(
-                f"non-finite state after step {n}", float("nan"), -1,
-                step_index=n, row=row,
-            )
-        state = new
-        yield state, clipped
-
-
-def _run_paths(scenario, paths, observe) -> CoupledState:
-    """Step paths `paths` (an int array of path indices) of `scenario` from
-    its initial fields as one batch of coupled steps.  Each row draws its
-    path's noise of its rung at the rung's local step and ends as that path
-    stepped alone, within the batch contract of `_newton`; a Newton failure
-    names its path.
-
-    observe(n, u, v, live, rung) sees the batch after n steps, n = 0 to
-    solver.n_steps, in arrays later steps overwrite; `live` are the rows
-    that step next.  It returns the rows that go on and those of them that
-    start their next rung at step n, on fresh (path, rung) streams.  No row
-    going on ends the run; the returned state keeps each stopped row's."""
-    basis, model, solver, spec = (scenario.basis, scenario.model,
-                                  scenario.solver, scenario.noise)
-    drift1, drift2 = _mult_drifts(basis, model, spec, None)
-    rung = np.zeros(len(paths), dtype=int)
-    start = np.zeros(len(paths), dtype=int)  # the step each rung began at
-    keys = _path_keys(spec, paths, rung)
-    live = np.arange(len(paths))
-
-    def increments(n):
-        return _increment_rows(spec, basis, solver.dt, keys[live],
-                               n - start[live])
-
-    def step(state, n, dw1, dw2):  # the live rows move, in place
-        rows = CoupledState(state.u[live], state.v[live], state.t)
-        moved = step_coupled(basis, rows, model, solver, dw1, dw2,
-                             drift1, drift2)
-        state.u[live], state.v[live] = moved.u, moved.v
-        return CoupledState(state.u, state.v, moved.t)
-
-    state = CoupledState(*(np.repeat(f[None], len(paths), axis=0)
-                           for f in (scenario.u0, scenario.v0)), 0.0)
-    for n, (state, _) in enumerate(_drive(state, solver, solver.n_steps, step,
-                                          increments, lambda: paths[live])):
-        live, climb = observe(n, state.u, state.v, live, rung)
-        if len(climb):
-            rung[climb] += 1
-            start[climb] = n
-            keys[climb] = _path_keys(spec, paths[climb], rung[climb])
-        if not len(live):
-            break
-    return state
-
-
-def _path_increments(noise_path: Optional[NoisePath], solver: SolverConfig):
-    """Per-step noise source reading a stored path (no noise without one)."""
-    if noise_path is None:
-        return lambda n: (None, None)
-    if abs(noise_path.dt - solver.dt) > 1e-15 * solver.dt:
-        raise ValueError("noise path dt differs from solver dt")
-    if noise_path.n_steps < solver.n_steps:
-        raise ValueError("noise path shorter than the run")
-    return lambda n: (
-        noise_path.field_increment(1, n), noise_path.field_increment(2, n)
-    )
-
-
 def _h_rate_rows(u, v, cutoff) -> tuple[list[float], list[float]]:
     """Integrands |u|_{L^(g+1)}^(g+1) and |v|_{L^m}^(m0) of the budget h for
     each field of the stacks u, v (P,) + grid; powers on scalars."""
@@ -681,95 +551,182 @@ def _h_rate_rows(u, v, cutoff) -> tuple[list[float], list[float]]:
             [x ** cutoff.m0 for x in _lp_rows(v, cutoff.m)])
 
 
-def _h_budget(sum_eta, sum_xi, dt: float, nu: float):
-    """h = (dt sum eta-rates)^nu + (dt sum xi-rates)^nu from running sums,
-    on arrays: every h the package computes is raised here."""
-    return (dt * sum_eta) ** nu + (dt * sum_xi) ** nu
+def _h_budget(sums, dt: float, nu: float):
+    """h = (dt sum eta-rates)^nu + (dt sum xi-rates)^nu from the running
+    sums (sums[0], sums[1]), on arrays: every h the package computes is
+    raised here."""
+    return (dt * sums[0]) ** nu + (dt * sums[1]) ** nu
 
 
-def _norm_rows(basis, u, v, model, solver) -> tuple:
-    """Ledger columns Trajectory.NORM_COLUMNS without h, one entry per path
-    of the batch u, v (P,) + grid, each bit for bit its lone field's."""
-    flat_u = u.reshape(len(u), -1)
-    return (
-        _lp_rows(flat_u, 2.0),
-        _lp_rows(flat_u, model.gamma + 1.0),
-        sobolev_norm(basis, v, solver.record_rho),
-        flat_u.min(axis=1),
-        v.reshape(len(v), -1).min(axis=1),
-    )
+class _HSums:
+    """Running sums of the two h integrands of each row, added in step order
+    as FrozenPair.h_values' cumsum adds them, raised by _h_budget."""
+
+    def __init__(self, cutoff, dt: float, rows: int):
+        self.cutoff, self.dt = cutoff, dt
+        self.total = np.zeros((2, rows))
+
+    def h(self, rows):
+        return _h_budget(self.total[:, rows], self.dt, self.cutoff.nu)
+
+    def add(self, u, v, rows):  # the rates of u, v, the fields of `rows`
+        self.total[:, rows] += _h_rate_rows(u, v, self.cutoff)
 
 
-def _record_run(basis, u0, v0, model, solver, step, increments, cutoff,
-                stride, h=None) -> list[Trajectory]:
-    """Drive `step` over solver.n_steps from P copies of one path's fields
-    u0, v0, stepped as one batch, and record each row's norm ledger, h
-    column (NaN without `cutoff`) and every stride-th state plus the last:
-    one Trajectory per row, each holding snapshot arrays of its own.
+def _stepper(step_fn, basis, model, solver, spec, override, frozen):
+    """step(state, n, dw1, dw2) for `_run`: the public step `step_fn`, given
+    (eta, xi, phi) = frozen(state, n) if it is step_frozen, with the
+    multiplicative drift fields (c1, c2) added as state * c_j.  `override`,
+    if given, sets them (Ito runs use it to demonstrate the definitional
+    equality of the two discretizations); else Stratonovich runs get the
+    conversion drift of the noise `spec` and Ito runs none."""
+    drifts = (None, None) if override is None else override
+    if override is None and model.calculus == STRATONOVICH:
+        if spec is None:
+            raise ValueError("stratonovich stepping needs the noise spectrum")
+        drifts = (stratonovich_correction(spec, basis, 1, model.sigma1),
+                  stratonovich_correction(spec, basis, 2, model.sigma2))
+    fields = frozen or (lambda state, n: ())
+    return lambda state, n, dw1, dw2: step_fn(
+        basis, state, *fields(state, n), model, solver, dw1, dw2, *drifts)
 
-    h, if given, is a (P, n_steps + 1) array that receives the h columns as
-    the run goes, so a step can read each row's h up to its own time; else
-    P = 1.  Each row's h comes from running sums of its rates, added in step
-    order as FrozenPair.h_values' cumsum adds them, and raised to nu on
-    arrays by _h_budget."""
-    u0 = np.asarray(u0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
+
+def _run(basis, solver, u0, v0, paths, step, noise, observe):
+    """The one time loop: step len(paths) rows, each from the fields u0, v0,
+    over solver.n_steps.  step(state, n, dw1, dw2) moves the rows it is
+    given by one step.  Row p draws the Philox streams of the NoiseSpec
+    `noise` for path paths[p] at its rung, at the rung's local step, and
+    ends as that path stepped alone, within the batch contract of
+    `_newton`; rows of no path (None) all read the stored NoisePath `noise`
+    (no noise if None).
+
+    observe(n, u, v, live, rung, clipped) sees the batch after n steps, n = 0
+    to n_steps, in arrays later steps may overwrite, and the points the step
+    to it clipped per row; `live` are the rows that step next.  It returns
+    the rows that go on and those of them that start their next rung at
+    step n, on fresh (path, rung) streams.  No row going on ends the run;
+    the returned state keeps each stopped row's.  While every row goes on
+    the whole state steps; fewer are gathered, stepped and scattered.
+
+    The per-step policy of every run: nonneg_policy=project clips negative
+    values to zero and counts them per row, and a Newton error or a
+    non-finite row aborts the run naming the step, the row of the live rows
+    and its path."""
+    u0, v0 = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
     if u0.shape != basis.grid_shape or v0.shape != u0.shape:
-        raise ValueError(
-            f"initial fields {u0.shape}/{v0.shape} do not match grid "
-            f"{basis.grid_shape}"
-        )
-    n_steps = solver.n_steps
-    if h is None:
-        h = np.empty((1, n_steps + 1))
-    rows = len(h)
-    h[:] = np.nan
-    snap_idx = list(range(0, n_steps + 1, stride))
-    if snap_idx[-1] != n_steps:
-        snap_idx.append(n_steps)
-    snap_shape = (len(snap_idx),) + u0.shape
-    snaps = [(np.empty(snap_shape), np.empty(snap_shape)) for _ in range(rows)]
-    ledger = np.empty((len(Trajectory.NORM_COLUMNS) - 1, rows, n_steps + 1))
-    sums = np.zeros((2, rows))  # running sums of the two h integrands
-    projected = np.zeros(rows, dtype=int)
-    state = CoupledState(np.repeat(u0[None], rows, axis=0),
-                         np.repeat(v0[None], rows, axis=0), 0.0)
-    snap = 0
-    for n, (state, clipped) in enumerate(_drive(
-        state, solver, n_steps, step, increments
-    )):
-        projected += clipped
-        ledger[:, :, n] = _norm_rows(basis, state.u, state.v, model, solver)
-        if cutoff is not None:  # h(0) = 0 from sums of zero
-            h[:, n] = _h_budget(sums[0], sums[1], solver.dt, cutoff.nu)
-            if n < n_steps:
-                sums += _h_rate_rows(state.u, state.v, cutoff)
-        if n == snap_idx[snap]:
-            for (snap_u, snap_v), u, v in zip(snaps, state.u, state.v):
-                snap_u[snap], snap_v[snap] = u, v
-            snap += 1
+        raise ValueError(f"initial fields {u0.shape}/{v0.shape} do not match "
+                         f"grid {basis.grid_shape}")
+    paths, n_steps, dt = np.asarray(paths), solver.n_steps, solver.dt
+    names = paths.tolist()
+    rung = np.zeros(len(paths), dtype=int)
+    start = np.zeros(len(paths), dtype=int)  # the step each rung began at
+    streams = isinstance(noise, NoiseSpec)
+    if streams:
+        keys = _path_keys(noise, paths, rung)
+    elif noise is not None and abs(noise.dt - dt) > 1e-15 * dt:
+        raise ValueError("noise path dt differs from solver dt")
+    elif noise is not None and noise.n_steps < n_steps:
+        raise ValueError("noise path shorter than the run")
+    project = solver.nonneg_policy == "project"
+    state = CoupledState(*(np.repeat(f[None], len(paths), axis=0)
+                           for f in (u0, v0)), 0.0)
+    live, clipped = np.arange(len(paths)), 0
+    for n in range(n_steps + 1):
+        live, climb = observe(n, state.u, state.v, live, rung, clipped)
+        if len(climb):
+            rung[climb] += 1
+            start[climb] = n
+            keys[climb] = _path_keys(noise, paths[climb], rung[climb])
+        if n == n_steps or not len(live):
+            return state
+        if streams:
+            dw = _increment_rows(noise, basis, dt, keys[live], n - start[live])
+        elif noise is not None:
+            dw = noise.field_increment(1, n), noise.field_increment(2, n)
+        else:
+            dw = None, None
+        whole = len(live) == len(paths)
+        rows = state if whole else CoupledState(state.u[live], state.v[live],
+                                                state.t)
+        try:
+            new = step(rows, n, *dw)
+        except NewtonError as exc:
+            path = None if exc.row is None else names[live[exc.row]]
+            where = "" if path is None else f"path {path}: "
+            err = NewtonError(f"step {n} (t={state.t:.6g}): {where}{exc}",
+                              exc.residual, exc.iterations, step_index=n,
+                              row=exc.row)
+            err.path = path
+            raise err from exc
+        if project:
+            clipped = np.zeros(len(paths), dtype=int)
+            for f in (new.u, new.v):
+                below = f < 0.0
+                clipped[live] += np.count_nonzero(
+                    below.reshape(len(live), -1), axis=1)
+                f[below] = 0.0
+        if not (np.isfinite(new.u).all() and np.isfinite(new.v).all()):
+            finite = np.isfinite(new.u) & np.isfinite(new.v)
+            row = int(np.argmin(finite.reshape(len(live), -1).all(axis=1)))
+            err = NewtonError(f"non-finite state after step {n}",
+                              float("nan"), -1, step_index=n, row=row)
+            err.path = names[live[row]]
+            raise err
+        if whole:
+            state = new
+        else:
+            state.u[live], state.v[live], state.t = new.u, new.v, new.t
 
-    times = np.arange(n_steps + 1) * solver.dt
-    trajectories = []
-    for row, (snap_u, snap_v) in enumerate(snaps):
-        columns = dict(zip(Trajectory.NORM_COLUMNS[:-1], ledger[:, row]))
-        columns["h"] = h[row]
-        flags = {
-            "completed": True,
-            "projected_points": int(projected[row]),
-            "worst_min_u": float(columns["min_u"].min()),
-            "worst_min_v": float(columns["min_v"].min()),
-            "model_flags": model.hypothesis_flags(),
-        }
-        trajectories.append(Trajectory(
-            times=times,
-            norms=columns,
-            snapshot_times=times[snap_idx],
-            u_snapshots=snap_u,
-            v_snapshots=snap_v,
-            flags=flags,
-        ))
-    return trajectories
+
+def _recorder(basis, model, solver, cutoff, stride, h):
+    """An observer for `_run` whose rows all go on to the end, and the
+    function that then gives one Trajectory per row: its norm ledger, its h
+    column (NaN without `cutoff`) and every stride-th state plus the last,
+    in snapshot arrays of its own.  The h columns fill `h`, (P, n_steps +
+    1), as the run goes, so a step can read each row's h up to its time."""
+    n_steps, rows = solver.n_steps, len(h)
+    h[:] = np.nan
+    sums = None if cutoff is None else _HSums(cutoff, solver.dt, rows)
+    snap_at = {n: k for k, n in enumerate(range(0, n_steps + 1, stride))}
+    snap_at.setdefault(n_steps, len(snap_at))
+    shape = (len(snap_at),) + basis.grid_shape
+    snaps = [(np.empty(shape), np.empty(shape)) for _ in range(rows)]
+    ledger = np.empty((len(Trajectory.NORM_COLUMNS) - 1, rows, n_steps + 1))
+    projected = np.zeros(rows, dtype=int)
+
+    def observe(n, u, v, live, rung, clipped):
+        projected[:] += clipped
+        flat_u = u.reshape(rows, -1)  # each entry bit for bit its lone row's
+        ledger[:, :, n] = (_lp_rows(flat_u, 2.0),
+                           _lp_rows(flat_u, model.gamma + 1.0),
+                           sobolev_norm(basis, v, solver.record_rho),
+                           flat_u.min(axis=1), v.reshape(rows, -1).min(axis=1))
+        if sums is not None:  # h(0) = 0 from sums of zero
+            h[:, n] = sums.h(slice(None))
+            if n < n_steps:
+                sums.add(u, v, slice(None))
+        if n in snap_at:
+            for (snap_u, snap_v), u_row, v_row in zip(snaps, u, v):
+                snap_u[snap_at[n]], snap_v[snap_at[n]] = u_row, v_row
+        return live, ()
+
+    def trajectories() -> list[Trajectory]:
+        times = np.arange(n_steps + 1) * solver.dt
+        out = []
+        for row, (snap_u, snap_v) in enumerate(snaps):
+            columns = dict(zip(Trajectory.NORM_COLUMNS[:-1], ledger[:, row]))
+            columns["h"] = h[row]
+            out.append(Trajectory(times, columns, times[list(snap_at)],
+                                  snap_u, snap_v, {
+                "completed": True,
+                "projected_points": int(projected[row]),
+                "worst_min_u": float(columns["min_u"].min()),
+                "worst_min_v": float(columns["min_v"].min()),
+                "model_flags": model.hypothesis_flags(),
+            }))
+        return out
+
+    return observe, trajectories
 
 
 def simulate_path(
@@ -791,15 +748,11 @@ def simulate_path(
     """
     if mode not in ("coupled", "decoupled"):
         raise ValueError(f"unknown mode {mode!r}")
-    increments = _path_increments(noise_path, solver)
-    noise_spec = None if noise_path is None else noise_path.spec
-    drift1, drift2 = _mult_drifts(basis, model, noise_spec, mult_drift_override)
-    step_fn = step_coupled if mode == "coupled" else step_decoupled
-
-    def step(state, n, dw1, dw2):
-        return step_fn(basis, state, model, solver, dw1, dw2, drift1, drift2)
-
-    return _record_run(
-        basis, u0, v0, model, solver, step, increments, cutoff,
-        solver.snapshot_stride,
-    )[0]
+    step = _stepper(step_coupled if mode == "coupled" else step_decoupled,
+                    basis, model, solver, getattr(noise_path, "spec", None),
+                    mult_drift_override, None)
+    observe, trajectories = _recorder(basis, model, solver, cutoff,
+                                      solver.snapshot_stride,
+                                      np.empty((1, solver.n_steps + 1)))
+    _run(basis, solver, u0, v0, [None], step, noise_path, observe)
+    return trajectories()[0]

@@ -31,13 +31,14 @@ from .dynamics import (
     SolverConfig,
     Trajectory,
     simulate_path,
+    step_coupled,
     step_frozen,
     _h_budget,
     _h_rate_rows,
-    _mult_drifts,
-    _path_increments,
-    _record_run,
-    _run_paths,
+    _HSums,
+    _recorder,
+    _run,
+    _stepper,
 )
 from .noise import NoisePath, NoiseSpec, generate_path
 
@@ -147,8 +148,8 @@ class FrozenPair:
         """h at every grid time by left-endpoint quadrature, h(0) = 0; cumsum
         adds the rates left to right, as the recorder's running sums do."""
         rates = _h_rate_rows(self.eta[:-1], self.xi[:-1], params)
-        sums = np.cumsum(rates, axis=1)
-        return np.append(0.0, _h_budget(sums[0], sums[1], self.dt, params.nu))
+        return np.append(0.0, _h_budget(np.cumsum(rates, axis=1), self.dt,
+                                        params.nu))
 
 
 def h_functional(pair: FrozenPair, t: float, params: CutoffParams) -> float:
@@ -172,21 +173,19 @@ def _sweep(pair, rows, u0, v0, kappa, noise_path, model, solver, basis,
             f"frozen pair of {pair.n_times} time slices at dt {pair.dt!r} is "
             f"not on the grid of {n_steps} steps at solver dt {solver.dt!r}"
         )
-    increments = _path_increments(noise_path, solver)
-    drift1, drift2 = _mult_drifts(basis, model, noise_path.spec, None)
     h = np.empty((rows + 1, n_steps + 1))  # row 0 the pair's, j + 1 sweep j's
     h[0] = pair_h
 
-    def step(state, n, dw1, dw2):
-        eta = np.concatenate((pair.eta[n][None], state.u[:rows - 1]))
-        xi = np.concatenate((pair.xi[n][None], state.v[:rows - 1]))
-        return step_frozen(
-            basis, state, eta, xi, cutoff_phi(h[:rows, n], kappa),
-            model, solver, dw1, dw2, drift1, drift2,
-        )
+    def frozen(state, n):  # every row goes on: state is the batch
+        return (np.concatenate((pair.eta[n][None], state.u[:rows - 1])),
+                np.concatenate((pair.xi[n][None], state.v[:rows - 1])),
+                cutoff_phi(h[:rows, n], kappa))
 
-    return _record_run(basis, u0, v0, model, solver, step, increments, params,
-                       1, h[1:])
+    step = _stepper(step_frozen, basis, model, solver, noise_path.spec, None,
+                    frozen)
+    observe, trajectories = _recorder(basis, model, solver, params, 1, h[1:])
+    _run(basis, solver, u0, v0, [None] * rows, step, noise_path, observe)
+    return trajectories()
 
 
 def apply_V(
@@ -514,9 +513,10 @@ def _exit_steps(scenario, levels: Sequence[float], n_paths: int):
     draws its noise from the (seed, channel, i, r) substreams at its own
     local step.  A path stops at its first rung that does not exit before
     the horizon, when it exits at the horizon step, or after its last rung.
-    The paths observe one `_run_paths` batch; each ends within the batch
-    contract of `dynamics._newton` of its lone end state and crosses where
-    its lone run's recorded h column reaches the level (`_first_crossing`).
+    The paths step as one batch of `dynamics._run`; each ends within the
+    batch contract of `dynamics._newton` of its lone end state and crosses
+    where its lone run's recorded h column reaches the level
+    (`_first_crossing`).
 
     Returns (crossings, end): crossings[i, r] is the global step at which
     path i's h reached levels[r] (-1 if it did not), and end is the batch
@@ -525,21 +525,24 @@ def _exit_steps(scenario, levels: Sequence[float], n_paths: int):
     solver, cutoff = scenario.solver, scenario.cutoff
     thresholds = np.asarray(levels, dtype=float)
     crossings = np.full((n_paths, len(levels)), -1)
-    sums = np.zeros((2, n_paths))  # running sums of the two h integrands
+    sums = _HSums(cutoff, solver.dt, n_paths)
 
-    def observe(n, u, v, live, rung):  # h(0) = 0 is below every level
-        h = _h_budget(sums[0, live], sums[1, live], solver.dt, cutoff.nu)
-        crossed = live[h >= thresholds[rung[live]]]
+    def observe(n, u, v, live, rung, clipped):  # h(0) = 0 is below every level
+        crossed = live[sums.h(live) >= thresholds[rung[live]]]
         crossings[crossed, rung[crossed]] = n
         # a crossing before the horizon climbs to the next rung, if any
         climbs = (rung[crossed] + 1 < len(levels)) & (n < solver.n_steps)
-        sums[:, crossed[climbs]] = 0.0
+        sums.total[:, crossed[climbs]] = 0.0
         live = live[~np.isin(live, crossed[~climbs])]
         if n < solver.n_steps:  # the left-endpoint rates of the next step
-            sums[:, live] += _h_rate_rows(u[live], v[live], cutoff)
+            sums.add(u[live], v[live], live)
         return live, crossed[climbs]
 
-    return crossings, _run_paths(scenario, np.arange(n_paths), observe)
+    basis, spec = scenario.basis, scenario.noise
+    step = _stepper(step_coupled, basis, scenario.model, solver, spec, None,
+                    None)
+    return crossings, _run(basis, solver, scenario.u0, scenario.v0,
+                           np.arange(n_paths), step, spec, observe)
 
 
 def exit_tail(scenario, kappas: Sequence[float],

@@ -1,7 +1,7 @@
 """Functions only the tests call: the serial basis construction, a
 quadrature, a band residual, a fitted Weyl constant, a trace normalisation,
-a deterministic pattern scenario, the end state of a recorded run, and the
-serial Picard loop."""
+a deterministic pattern scenario, the end state of a recorded run, a batch
+of scenario paths, and the serial Picard loop."""
 
 import dataclasses
 import itertools
@@ -24,10 +24,11 @@ from klausim.dynamics import (
     ModelConfig,
     SolverConfig,
     Trajectory,
+    step_coupled,
     step_frozen,
-    _mult_drifts,
-    _path_increments,
-    _record_run,
+    _recorder,
+    _run,
+    _stepper,
 )
 from klausim.fields import lp_norm
 from klausim.fixedpoint import (
@@ -147,16 +148,25 @@ def sweep_serial(pair, u0, v0, kappa, noise_path, model, solver, basis,
     """One sweep of the frozen operator stepped alone, a batch of one, with
     phi taken from the pair's whole h column, computed by h_values before
     the sweep starts."""
-    increments = _path_increments(noise_path, solver)
-    drift1, drift2 = _mult_drifts(basis, model, noise_path.spec, None)
     phi = cutoff_phi(pair.h_values(params), kappa)
+    step = _stepper(step_frozen, basis, model, solver, noise_path.spec, None,
+                    lambda state, n: (pair.eta[n], pair.xi[n], phi[n]))
+    observe, trajectories = _recorder(basis, model, solver, params, 1,
+                                      np.empty((1, solver.n_steps + 1)))
+    _run(basis, solver, u0, v0, [None], step, noise_path, observe)
+    return trajectories()[0]
 
-    def step(state, n, dw1, dw2):
-        return step_frozen(basis, state, pair.eta[n], pair.xi[n], phi[n],
-                           model, solver, dw1, dw2, drift1, drift2)
 
-    return _record_run(basis, u0, v0, model, solver, step, increments, params,
-                       1)[0]
+def run_paths(sc, paths, observe, step=None):
+    """Paths `paths` (an int array) of scenario `sc` stepped as one batch of
+    the runner, by coupled steps on their Philox streams unless `step` is
+    given; observe(n, u, v, live, rung, clipped) as for `dynamics._run`.
+    Returns the end state."""
+    if step is None:
+        step = _stepper(step_coupled, sc.basis, sc.model, sc.solver,
+                        sc.noise, None, None)
+    return _run(sc.basis, sc.solver, sc.u0, sc.v0, paths, step, sc.noise,
+                observe)
 
 
 def picard_serial(u0, v0, kappa, noise_path, model, solver, basis, params,

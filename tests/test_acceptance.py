@@ -26,7 +26,6 @@ from klausim.dynamics import (
     Trajectory,
     heat_step,
     simulate_path,
-    _run_paths,
 )
 from klausim.fields import lp_norm, pm_inequality_gap
 from klausim.fixedpoint import (
@@ -48,6 +47,8 @@ from klausim.scenarios import (
     small_data_scenario,
     uniqueness_scenario,
 )
+
+from helpers import run_paths
 
 
 def report(num, name, ok, detail=""):
@@ -128,12 +129,12 @@ def test_criterion_05_nonnegativity_ensemble():
     sc = nonneg_scenario(seed=505, n=128, dt=1e-3)
     minima = np.full((2, 50), np.inf)
 
-    def audit(n, u, v, live, rung):
+    def audit(n, u, v, live, rung, clipped):
         np.minimum(minima[0], u.min(axis=1), out=minima[0])
         np.minimum(minima[1], v.min(axis=1), out=minima[1])
         return live, ()
 
-    _run_paths(sc, np.arange(50), audit)
+    run_paths(sc, np.arange(50), audit)
     worst_u, worst_v = minima.min(axis=1)
     report(5, "nonnegativity", worst_u >= -1e-6 and worst_v >= -1e-6,
            f"worst min u {worst_u:.2e}, worst min v {worst_v:.2e}, 50 paths")

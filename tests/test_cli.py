@@ -626,6 +626,25 @@ def test_width_whose_square_overflows_runs_flat(tmp_path, override):
     assert np.all(flat == flat.flat[0])
 
 
+@pytest.mark.parametrize("subcommand, overrides", [
+    ("simulate", ["hypothesis.m0=2000", "initial.v_base=2"]),
+    ("glue", ["hypothesis.m0=2000", "initial.v_base=2"]),
+    ("ensemble", ["hypothesis.l=2000", "initial.u_base=2"]),
+])
+def test_overflowing_power_writes_failure(tmp_path, subcommand, overrides):
+    """Finite values inside their domains whose power of a norm overflows a
+    float (|v|^m0 in the budget h, |u0|^l in the ensemble report) end with
+    status 1 and a strict-JSON failure.json, not a traceback."""
+    out = tmp_path / "out"
+    argv = [subcommand, "--out", str(out)]
+    for item in ["grid.n=8", "solver.t_final=0.004"] + overrides:
+        argv += ["--override", item]
+    assert main(argv) == 1
+    failure = _strict_json((out / "failure.json").read_text())
+    assert failure["reason"] == "non-finite statistic"
+    assert failure["details"]["error"]
+
+
 @pytest.mark.parametrize("argv, env, source", [
     (["--seed", "-1"], None, "--seed"),
     (["--seed", "abc"], None, "--seed"),

@@ -17,7 +17,7 @@ from klausim.diagnostics import (
     validate_hypotheses,
     weak_norm_distance,
 )
-from klausim.dynamics import ModelConfig, SolverConfig, _run_paths, simulate_path
+from klausim.dynamics import ModelConfig, SolverConfig, simulate_path
 from klausim.noise import NoiseSpec, generate_path
 from klausim.scenarios import (
     Scenario,
@@ -28,6 +28,8 @@ from klausim.scenarios import (
     small_data_scenario,
     uniqueness_scenario,
 )
+
+from helpers import run_paths
 
 GOOD = HypothesisParams()  # the documented d=1 feasible set
 
@@ -287,11 +289,11 @@ def test_runner_minima_match_serial_loop():
         sc, solver=dataclasses.replace(sc.solver, t_final=0.05))
     records = []
 
-    def audit(n, u, v, live, rung):
+    def audit(n, u, v, live, rung, clipped):
         records.append((u.min(axis=1), v.min(axis=1)))
         return live, ()
 
-    _run_paths(sc, np.arange(4), audit)
+    run_paths(sc, np.arange(4), audit)
     minima = np.array(records)  # (record, field, path)
     for i in range(4):
         path = generate_path(sc.noise, sc.basis, sc.solver.dt,

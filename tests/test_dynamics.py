@@ -1,7 +1,6 @@
 """Stepping kernels against closed forms and brute-force oracles."""
 
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from klausim.fields import lp_norm, power_gamma
 from klausim.noise import NoiseSpec, generate_path, stratonovich_correction
 from klausim.scenarios import bump_field, exit_scenario
 
-from helpers import final_state
+from helpers import final_state, run_paths
 
 
 @pytest.fixture(scope="module")
@@ -465,10 +464,9 @@ def test_frozen_batch_rows_are_their_lone_steps(per64):
 
 
 def test_driver_counts_clips_and_names_a_non_finite_row(per64):
-    """The time driver counts clipped points per row, and a row left
-    non-finite by a step aborts the run naming the row."""
+    """The runner counts clipped points per row, and a row left non-finite
+    by a step aborts the run naming the row."""
     solver = make_solver(dt=0.1, t_final=0.3, nonneg_policy="project")
-    start = CoupledState(np.ones((3, 64)), np.ones((3, 64)), 0.0)
 
     def step(state, n, dw1, dw2):
         u = state.u - 0.0
@@ -478,39 +476,39 @@ def test_driver_counts_clips_and_names_a_non_finite_row(per64):
             v[2, 5] = np.inf
         return CoupledState(u, v, state.t + solver.dt)
 
-    def none(n):
-        return None, None
+    clipped = []
 
-    run = dynamics._drive(start, solver, 3, step, none)
-    clipped = [c for _, c in itertools.islice(run, 3)]
-    assert clipped[0] == 0
-    assert [list(c) for c in clipped[1:]] == [[0, 1, 0], [0, 2, 0]]
+    def observe(n, u, v, live, rung, clip):
+        clipped.append(clip if n == 0 else list(clip))
+        return live, ()
+
     with pytest.raises(NewtonError) as err:
-        next(run)
+        dynamics._run(per64, solver, np.ones(64), np.ones(64), [None] * 3,
+                      step, None, observe)
+    assert clipped == [0, [0, 1, 0], [0, 2, 0]]
     assert str(err.value) == "non-finite state after step 2"
     assert (err.value.row, err.value.step_index, err.value.path) == (2, 2, None)
 
 
-def test_non_finite_path_batch_names_no_row(monkeypatch):
-    """In a path batch a row is an index of the live rows, which the time
-    driver cannot map a row of the whole state to: a non-finite state names
-    its step, but neither a row nor a path."""
+def test_non_finite_path_batch_names_its_path():
+    """In a path batch the runner knows the live rows: a non-finite state
+    names its step, its row of the live rows and the row's global path."""
     sc = exit_scenario(seed=808, n=32, t_final=0.02)
-    step = dynamics.step_coupled
+    step = dynamics._stepper(dynamics.step_coupled, sc.basis, sc.model,
+                             sc.solver, sc.noise, None, None)
 
-    def poisoned(basis, state, *args):
-        new = step(basis, state, *args)
+    def poisoned(state, *args):
+        new = step(state, *args)
         if state.t > 0.0:
             new.u[-1, 0] = np.nan
         return new
 
-    monkeypatch.setattr(dynamics, "step_coupled", poisoned)
     with pytest.raises(NewtonError) as err:
-        dynamics._run_paths(sc, np.arange(5, 9),
-                            lambda n, u, v, live, rung: (live[1:], ()))
+        run_paths(sc, np.arange(5, 9),
+                  lambda n, u, v, live, rung, clipped: (live[1:], ()),
+                  poisoned)
     assert str(err.value) == "non-finite state after step 1"
-    assert (err.value.row, err.value.step_index, err.value.path) == (
-        None, 1, None)
+    assert (err.value.row, err.value.step_index, err.value.path) == (1, 1, 8)
 
 
 def test_project_policy_clips_and_counts(per64):
@@ -577,14 +575,14 @@ def _run_failing_batch(monkeypatch, failure, sc=None,
     if sc is None:
         sc = exit_scenario(seed=808, n=32, t_final=0.02)
 
-    def observe(n, u, v, live, rung):
+    def observe(n, u, v, live, rung, clipped):
         if n == 2:
             failure(sc.basis)
             return live[3:], ()
         return live, ()
 
     with pytest.raises(NewtonError) as err:
-        dynamics._run_paths(sc, paths, observe)
+        run_paths(sc, paths, observe)
     return err.value, paths
 
 

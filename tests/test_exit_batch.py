@@ -64,8 +64,8 @@ def serial_exits(sc, levels, paths):
                     state.u[state.u < 0.0] = 0.0
                     state.v[state.v < 0.0] = 0.0
                 # raised on one-element arrays, as the sampler raises them
-                h = _h_budget(np.array([sum_eta]), np.array([sum_xi]),
-                              solver.dt, cutoff.nu)[0]
+                h = _h_budget(np.array([[sum_eta], [sum_xi]]), solver.dt,
+                              cutoff.nu)[0]
                 if h >= level:
                     exit_step = n + 1
                     break
