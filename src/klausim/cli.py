@@ -618,9 +618,10 @@ def run(subcommand: str, cfg: RunConfig, out_dir, workers: Optional[int] = None,
                 details[name] = getattr(exc, name)
         _write_failure(out_dir, subcommand, "solver failure", details)
         status = 1
-    except ArithmeticError as exc:  # FloatingPointError, OverflowError
-        _write_failure(out_dir, subcommand, "non-finite statistic",
-                       {"error": str(exc)})
+    except ArithmeticError as exc:
+        reason = ("arithmetic overflow" if isinstance(exc, OverflowError)
+                  else "non-finite statistic")
+        _write_failure(out_dir, subcommand, reason, {"error": str(exc)})
         status = 1
     except BrokenProcessPool as exc:
         _write_failure(out_dir, subcommand, "worker crashed",

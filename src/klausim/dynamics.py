@@ -23,9 +23,10 @@ The Newton driver and the row norms compute on one shape, a batch of paths
 (P,) + grid; a lone field is a batch of one.  Each path runs its own Newton
 iteration and line search, and each norm reduces its row as a lone field's
 and takes its roots and powers on scalars.  The batch contract: a batch
-solved by LU (fewer than _PCG_ROWS rows on a dense grid) advances bit for
-bit as each row would alone; any other, a lone field on a larger grid
-included, solves by one batched PCG, each row within 1e-9 of its lone run.
+solved by LU (fewer than _PCG_ROWS rows on a dense grid, one stacked
+solve) advances bit for bit as each row would alone; any other, a lone
+field on a larger grid included, solves by one masked PCG over the whole
+stack, each row within 1e-9 of its lone run.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ STRATONOVICH = "stratonovich"
 # Laplacian; larger grids by a PCG of separable transforms, faster there
 _DENSE_LIMIT = 256
 # on dense grids, this many rows iterating at once solve by one batched PCG
-# rather than by LU row by row: the measured crossover at d=1 N=32 and 64
+# rather than by stacked LU: the measured crossover at d=1 N=32 and 64
 _PCG_ROWS = 16
 # relative tolerance of a PCG row's residual and of its update's residual
 _PCG_RTOL = 1e-6
@@ -248,68 +249,60 @@ def _pcg(lap_rows, band, lap_diag, eigenvalues, volume, coef, deriv, res):
     varies by decades still converge in tens of iterations.  The iteration
     runs on T A T y = T b, x = T y, preconditioned by P, which takes the
     same steps with fewer products.  The products come in, each over the
-    rows still iterating: lap_rows(z) is L times each row of z, and
-    band(r, w) the band part of P, r analyzed, scaled by w and synthesized;
-    w carries `volume` where band's analysis leaves the cell volume out.
+    whole stack: lap_rows(z) is L times each row of z, and band(r, w) the
+    band part of P, r analyzed, scaled by w and synthesized; w carries
+    `volume` where band's analysis leaves the cell volume out.
 
-    A row leaves once its residual is within _PCG_RTOL of its right-hand
-    side and J d + res within _PCG_RTOL of res: the update d = -res +
-    coef L (S x) needs no division by S, and J d + res = coef L D e, with
-    e = -r / (S T), is one product of the rows passing the first test.  It
-    keeps d a descent direction where coef L D reaches 1e7 (rough d=1 N=512
-    rows).  A zero-curvature breakdown, or a row still iterating after 2 n
-    iterations, raises _Unsolved naming the row.
+    A row is done once its residual is within _PCG_RTOL of its right-hand
+    side and J d + res within _PCG_RTOL of res, and takes zero steps from
+    then on.  The update d = -res + coef L (S x) needs no division by S,
+    and J d + res = coef L D e, with e = -r / (S T), is one product of the
+    rows passing the first test.  It keeps d a descent direction where
+    coef L D reaches 1e7 (rough d=1 N=512 rows).  A zero-curvature
+    breakdown, or a row still iterating after 2 n iterations, raises
+    _Unsolved naming the first such row.
     """
     k, n = deriv.shape
     mean = deriv.mean(axis=1)[:, None]
     weight = volume * (1.0 / (1.0 + coef * mean * eigenvalues) - 1.0)
     diag = -coef * lap_diag
     t2 = (1.0 + mean * diag) / (1.0 + deriv * diag)
-    u = st = np.sqrt(deriv * t2)  # S T
+    u = np.sqrt(deriv * t2)  # S T
     cu = coef * u
     r = -u * res  # T b
-    y = np.zeros_like(deriv)
-    out = np.empty_like(deriv)
-    left = np.arange(k)  # the rows still iterating, by position
+    y, p, rz = np.zeros_like(deriv), np.zeros_like(deriv), np.ones(k)
     rr = _rowdot(r, r)
     stop = _PCG_RTOL**2 * rr
     descent = _PCG_RTOL**2 * _rowdot(res, res)
-    p = rz = None
+    active = np.ones(k, dtype=bool)  # the rows still iterating
     for it in range(2 * n + 1):
-        done = rr <= stop
+        done = active & (rr <= stop)
         if done.any():  # J d + res = coef L D e, D e = -r S / T: as small
             rho = coef * lap_rows(r[done] * u[done] / t2[done])
             done[done] = _rowdot(rho, rho) <= descent[done]
-        if done.any():
-            out[left[done]] = y[done]
-            keep = ~done
-            if not keep.any():
+            active &= ~done
+            if not active.any():
                 break
-            left, y, r, u, cu, t2, weight, rr, stop, descent = (
-                a[keep] for a in (left, y, r, u, cu, t2, weight, rr, stop,
-                                  descent))
-            if p is not None:
-                p, rz = p[keep], rz[keep]
         if it == 2 * n:
-            raise _Unsolved(int(left[0]), f"PCG did not converge in {it} "
-                            "iterations")
+            raise _Unsolved(int(np.argmax(active)), f"PCG did not converge "
+                            f"in {it} iterations")
         z = band(r, weight)
         z += r
         rz_new = _rowdot(r, z)
-        if p is not None:
-            z += (rz_new / rz)[:, None] * p
-        p, rz = z, rz_new
+        # a done row steps by zero, with no division by its (maybe 0) terms
+        beta = np.divide(rz_new, rz, out=np.zeros(k), where=active)
+        p, rz = z + beta[:, None] * p, rz_new
         q = t2 * p - cu * lap_rows(u * p)
         pq = _rowdot(p, q)
-        if not (pq > 0.0).all():
-            bad = np.argmin(pq > 0.0)
-            raise _Unsolved(int(left[bad]),
-                            f"PCG breakdown (curvature {pq[bad]:.3e})")
-        alpha = (rz / pq)[:, None]
+        bad = active & ~(pq > 0.0)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise _Unsolved(row, f"PCG breakdown (curvature {pq[row]:.3e})")
+        alpha = np.divide(rz, pq, out=np.zeros(k), where=active)[:, None]
         y += alpha * p
         r -= alpha * q
         rr = _rowdot(r, r)
-    return coef * lap_rows(st * out) - res
+    return coef * lap_rows(u * y) - res
 
 
 def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
@@ -319,42 +312,29 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
 
     The rows not yet converged iterate together, each with its own line
     search and stopping test.  Grids up to _DENSE_LIMIT cells hold the
-    dense Laplacian: while fewer than _PCG_ROWS rows iterate they solve by
-    LU, one row at a time, so a lone row and a small batch take the bits of
-    each row alone; more rows take one masked, batched PCG (`_pcg`) with a
-    GEMM per product, and a residual of the rows is one GEMM too.  Larger
-    grids take the PCG at every row count, its products separable
-    transforms.  A PCG row ends within 1e-9 relative of its LU solve, not
-    bit for bit.  A failure names its row.
+    dense Laplacian: fewer than _PCG_ROWS rows iterating solve by one
+    stacked LU call, each row taking the bits of its lone solve; more rows
+    take one masked PCG (`_pcg`) with a GEMM per product, and a residual
+    of the rows is one GEMM too.  Larger grids take the PCG at every row
+    count, its products separable transforms.  A PCG row ends within 1e-9
+    relative of its LU solve, not bit for bit.  A failure names its row.
     """
     n = basis.grid_size
-    if n <= _DENSE_LIMIT:
+    dense = n <= _DENSE_LIMIT
+    if dense:
         lap = basis.laplacian_matrix()
         neg_lap = -coef * lap
+        modes = basis.mode_matrix()
+        analysis = np.ascontiguousarray(modes.T)
 
         def apply_lap(z):
             if len(z) >= _PCG_ROWS:  # a PCG batch: one GEMM
                 return z @ lap
             return np.matmul(lap, z[..., None])[..., 0]  # lap @ each row
 
-        def solve(deriv, res):
-            if len(deriv) >= _PCG_ROWS:  # GEMM products, lap symmetric
-                modes = basis.mode_matrix()
-                analysis = np.ascontiguousarray(modes.T)
-                return _pcg(lambda z: z @ lap,
-                            lambda r, w: (r @ analysis * w) @ modes,
-                            np.diagonal(lap), basis.eigenvalues,
-                            basis.cell_volume, coef, deriv, res)
-            delta = np.empty_like(deriv)
-            for j, (d, r) in enumerate(zip(deriv, res)):
-                # I - coef lap d, rounded as np.eye(n) - coef * lap * d
-                jac = neg_lap * d
-                jac.flat[:: n + 1] += 1.0
-                try:
-                    delta[j] = np.linalg.solve(jac, -r)
-                except np.linalg.LinAlgError as exc:
-                    raise _Unsolved(j, str(exc)) from exc
-            return delta
+        products = (lambda z: z @ lap,  # GEMM products, lap symmetric
+                    lambda r, w: (r @ analysis * w) @ modes,
+                    np.diagonal(lap), basis.eigenvalues, basis.cell_volume)
     else:
         def apply_lap(z):
             grid = z.reshape(z.shape[:-1] + basis.grid_shape)
@@ -364,9 +344,24 @@ def _newton(basis, rhs, coef, gamma, tol_abs, max_iter):
             coeffs = analyze(basis, r.reshape(r.shape[:-1] + basis.grid_shape))
             return synthesize(basis, weight * coeffs).reshape(r.shape)
 
-        def solve(deriv, res):
-            return _pcg(apply_lap, band, basis.laplacian_diagonal(),
-                        basis.eigenvalues, 1.0, coef, deriv, res)
+        products = (apply_lap, band, basis.laplacian_diagonal(),
+                    basis.eigenvalues, 1.0)
+
+    def solve(deriv, res):
+        if len(deriv) >= _PCG_ROWS or not dense:
+            return _pcg(*products, coef, deriv, res)
+        # I - coef lap d per row, rounded as np.eye(n) - coef * lap * d
+        jac = neg_lap * deriv[:, None, :]
+        jac.reshape(len(jac), -1)[:, :: n + 1] += 1.0
+        try:
+            return np.linalg.solve(jac, -res[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            for j, (a, r) in enumerate(zip(jac, res)):  # name the row
+                try:
+                    np.linalg.solve(a, -r)
+                except np.linalg.LinAlgError as exc:
+                    raise _Unsolved(j, str(exc)) from exc
+            raise
 
     def residual(z, b):
         return z - coef * apply_lap(power_gamma(z, gamma)) - b

@@ -634,14 +634,15 @@ def test_width_whose_square_overflows_runs_flat(tmp_path, override):
 def test_overflowing_power_writes_failure(tmp_path, subcommand, overrides):
     """Finite values inside their domains whose power of a norm overflows a
     float (|v|^m0 in the budget h, |u0|^l in the ensemble report) end with
-    status 1 and a strict-JSON failure.json, not a traceback."""
+    status 1 and a strict-JSON failure.json naming the overflow, not a
+    traceback."""
     out = tmp_path / "out"
     argv = [subcommand, "--out", str(out)]
     for item in ["grid.n=8", "solver.t_final=0.004"] + overrides:
         argv += ["--override", item]
     assert main(argv) == 1
     failure = _strict_json((out / "failure.json").read_text())
-    assert failure["reason"] == "non-finite statistic"
+    assert failure["reason"] == "arithmetic overflow"
     assert failure["details"]["error"]
 
 

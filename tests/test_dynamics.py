@@ -1,6 +1,7 @@
 """Stepping kernels against closed forms and brute-force oracles."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -530,6 +531,17 @@ def test_newton_failure_carries_step_index(per64):
     assert err.value.step_index is not None
 
 
+def test_newton_error_survives_pickling():
+    """A pool worker hands its error back pickled, numbers and path kept."""
+    err = NewtonError("step 3 (t=0.003): path 7: PCG breakdown", 2.5e-4, 4,
+                      step_index=3, row=2)
+    err.path = 7
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is NewtonError and str(back) == str(err)
+    assert (back.residual, back.iterations, back.step_index, back.row,
+            back.path) == (2.5e-4, 4, 3, 2, 7)
+
+
 def _rough_batch(basis, rows, seed):
     """Positive rough fields of spread amplitudes, a source and noise."""
     rng = np.random.default_rng(seed)
@@ -542,7 +554,8 @@ def _rough_batch(basis, rows, seed):
 @pytest.mark.parametrize("rows", [dynamics._PCG_ROWS - 1, dynamics._PCG_ROWS])
 def test_pcg_crossover_picks_the_solver(per64, monkeypatch, rows):
     """The first Newton iteration of a dense batch solves by PCG from
-    _PCG_ROWS rows on, and by LU, row by row, below it."""
+    _PCG_ROWS rows on, and below it by one LU call on the stack of the
+    rows' matrices."""
     model = ModelConfig(r_u=1.0, gamma=3.0, sigma1=0.4)
     solver = make_solver(dt=4e-3)
     u, source, dw1 = _rough_batch(per64, rows, seed=3)
@@ -554,7 +567,7 @@ def test_pcg_crossover_picks_the_solver(per64, monkeypatch, rows):
         return pcg(*args)
 
     def spy_lu(a, b):
-        calls.append(("lu", 1))
+        calls.append(("lu", len(a) if a.ndim == 3 else None))
         return solve(a, b)
 
     monkeypatch.setattr(dynamics, "_pcg", spy_pcg)
@@ -563,15 +576,15 @@ def test_pcg_crossover_picks_the_solver(per64, monkeypatch, rows):
     if rows >= dynamics._PCG_ROWS:
         assert calls[0] == ("pcg", rows)
     else:
-        assert calls[:rows] == [("lu", 1)] * rows
-        assert all(c[0] == "lu" for c in calls)
+        assert calls[0] == ("lu", rows)
+        assert all(c[0] == "lu" and c[1] for c in calls)  # stacked, each
 
 
 def _run_failing_batch(monkeypatch, failure, sc=None,
                        paths=np.arange(59, 39, -1)):
     """Paths `paths` of `sc` (by default an exit scenario, paths 40-59
     reversed) as one batch: rows 0-2 stop after step 2, then
-    `failure(basis)` breaks the PCG of the next step."""
+    `failure(basis)` breaks the linear solve of the next step."""
     if sc is None:
         sc = exit_scenario(seed=808, n=32, t_final=0.02)
 
@@ -610,6 +623,32 @@ def test_pcg_breakdown_raises_newton_error_naming_step_and_path(monkeypatch):
     assert "PCG breakdown" in str(err)
     assert err.step_index == 2
     assert err.path in paths[3:]
+
+
+def test_lu_failure_names_step_row_and_path(monkeypatch):
+    """Seven live rows, below _PCG_ROWS, solve by one stacked LU call.  When
+    it fails, the rows are solved one at a time to find the failing one,
+    and the error names it (row 1 of the live rows), its path and step."""
+    solve = np.linalg.solve
+
+    def singular_row_1(basis):
+        lone = []  # the one-row calls after the stacked one fails
+
+        def lu(a, b):
+            if a.ndim == 2:
+                lone.append(a)
+            if a.ndim == 3 or len(lone) == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", lu)
+
+    err, paths = _run_failing_batch(monkeypatch, singular_row_1,
+                                    paths=np.arange(49, 39, -1))
+    assert "Newton system not solved: Singular matrix" in str(err)
+    assert err.step_index == 2 and err.iterations == 0
+    assert err.row == 1 and err.path == paths[4] == 45
+    assert "path 45" in str(err) and np.isfinite(err.residual)
 
 
 def _d2_exit_scenario(u0=None):
